@@ -21,6 +21,7 @@ from .purify import (
     SuccessProbabilityError,
     double_selection,
     double_selection_tensor,
+    pump,
     pump_double,
     pump_single,
     single_selection,
@@ -78,6 +79,7 @@ __all__ = [
     "gate_error_table_from_circuit",
     "hadamard_propagate",
     "label_mul",
+    "pump",
     "pump_double",
     "pump_single",
     "q_values",

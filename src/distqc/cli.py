@@ -22,8 +22,7 @@ from .purify import (
     double_selection_tensor,
     enumerate_double_map,
     enumerate_single_map,
-    pump_double,
-    pump_single,
+    pump,
     sample_double_selection,
     single_selection_tensor,
 )
@@ -38,6 +37,7 @@ from .threshold import (
     ThresholdConditions,
     check_ft,
     contour_infidelity,
+    p_M_of,
     q_values,
     raussendorf_q_values,
     threshold_curve,
@@ -77,19 +77,11 @@ def _parse_pm(text: str):
     return float(text)
 
 
-def _pm_value(rule, p_g: float) -> float:
-    if rule == "equal":
-        return p_g
-    if rule == "four_fifteenths":
-        return 4.0 * p_g / 15.0
-    return float(rule)
-
-
 def _noise_from_args(args, p_g: float) -> NoiseParams:
     pg_eff = p_g
     if getattr(args, "eta", 0.0):
         pg_eff = effective_pg(p_g, args.eta, args.l_wait)
-    return depolarizing_noise(pg_eff, _pm_value(args.pM, pg_eff))
+    return depolarizing_noise(pg_eff, p_M_of(args.pM, pg_eff))
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -116,8 +108,7 @@ def _cmd_pump(args) -> int:
     schedule = PumpSchedule.parse(args.schedule)
     noise = _noise_from_args(args, args.pg)
     channel = ChannelParams(args.F)
-    run = pump_double if schedule.scheme == "double" else pump_single
-    result = run(channel, schedule, noise)
+    result = pump(channel, schedule, noise)
     _json_out(
         {
             "F": args.F,
@@ -145,8 +136,7 @@ def _cmd_ttg(args) -> int:
     else:
         schedule = PumpSchedule.parse(args.schedule)
         channel = ChannelParams(args.F)
-        run = pump_double if schedule.scheme == "double" else pump_single
-        f_bar = run(channel, schedule, noise).f_out
+        f_bar = pump(channel, schedule, noise).f_out
     table = gate_error_table(kind, f_bar, noise)
     circuit = gate_error_table_from_circuit(kind, f_bar, noise)
     agg = aggregates(table)
@@ -179,8 +169,7 @@ def _cmd_qvalues(args) -> int:
         f_bar = [float(x) for x in args.fbar.split(",")]
     else:
         schedule = PumpSchedule.parse(args.schedule)
-        run = pump_double if schedule.scheme == "double" else pump_single
-        f_bar = run(ChannelParams(args.F), schedule, noise).f_out
+        f_bar = pump(ChannelParams(args.F), schedule, noise).f_out
     p_M = noise.p_M
     q = q_values(f_bar, noise.p_g, p_M)
     cond = ThresholdConditions(margin=args.margin)

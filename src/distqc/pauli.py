@@ -105,19 +105,16 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class NoiseParams:
-    """Local operation noise: two-qubit gate table, measurement and prep errors.
+    """Local operation noise: two-qubit gate table and measurement error.
 
     p_table[i][j] is the probability that a two-qubit gate is followed by the
     error sigma_i (x) sigma_j on its two qubits; p_table[0][0] = 1 - p_g.
-    p_M and p_P are per-qubit measurement and preparation flip probabilities.
-    eta is the memory error rate per waiting step.
+    p_M is the per-qubit measurement flip probability.  Memory error enters
+    through the gate error rate (see :func:`effective_pg`).
     """
 
     p_table: np.ndarray
     p_M: float
-    p_P: float = 0.0
-    eta: float = 0.0
-    l_wait: int = 0
 
     def __post_init__(self):
         table = np.asarray(self.p_table, dtype=float)
@@ -128,22 +125,13 @@ class NoiseParams:
         if abs(table.sum() - 1.0) > ATOL:
             raise ValueError(f"p_table must sum to 1, got {table.sum()!r}")
         object.__setattr__(self, "p_table", table)
-        for name in ("p_M", "p_P"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {v}")
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be non-negative, got {self.eta}")
-        if self.l_wait < 0:
-            raise ValueError(f"l_wait must be non-negative, got {self.l_wait}")
+        if not 0.0 <= self.p_M < 1.0:
+            raise ValueError(f"p_M must lie in [0, 1), got {self.p_M}")
 
     @property
     def p_g(self) -> float:
         """Total two-qubit gate error probability."""
         return float(self.p_table.sum() - self.p_table[0, 0])
-
-    def cache_key(self) -> tuple:
-        return (self.p_table.tobytes(), self.p_M)
 
 
 def depolarizing_noise(p_g: float, p_M: float, convention: str = "uniform") -> NoiseParams:

@@ -17,15 +17,36 @@ far side fold onto the stored label through the X<->Z swap induced by the
 reference pair state.  Each bilateral parity measurement consists of two
 physical measurements flipping independently with probability p_M.
 
-Entanglement pumping iterates these rounds with freshly generated channel
-pairs as ancillae.  The unnormalised label vector accumulates the joint
-success probability of all rounds; the net success probability is its total
-mass and the output fidelity the renormalised vector.
+Entanglement pumping (:func:`pump`) iterates these rounds in two levels.
+:func:`stage_program` compiles a schedule into a short stage program; each
+stage runs a number of rounds of one round tensor on a kept pair, and names
+where its start pair and its ancillas come from (fresh channel pairs or the
+output of an earlier stage):
+
+* single schedule (n1, n2): p_lv1 runs n1 single-selection rounds on fresh
+  pairs; p_lv2 runs n2 Hadamard-twisted rounds, which filter phase flips, on
+  a p_lv1 output, each against a freshly pumped p_lv1 ancilla;
+* double schedule (n1, m1, m2): r_lv1 runs m1 double-selection rounds with
+  two fresh ancillas; p_lv1 runs n1 single-selection rounds building the
+  level-2 ancilla; r_lv2 runs m2 double-selection rounds on the r_lv1
+  output with a freshly pumped p_lv1 ancilla plus a fresh pair.  The p_lv1
+  ancilla enters Hadamard-rotated: single selection filtered its bit-flip
+  component, and the rotation moves that clean component onto the
+  phase-flip slot the level-2 rounds are sensitive to.
+
+Everything else follows from the stage graph: how many instances of each
+stage one attempt runs, the attempt's operation tally, the net success
+probability (the product of each stage's success probability raised to its
+multiplicity), the per-round conditional success chain in protocol order
+and each round's marginal cost.  The interpreter runs every stage once per
+call on normalised inputs, since repeated instances of a stage are
+identical; within a stage the unnormalised label vector accumulates the
+joint success probability of its rounds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -112,9 +133,23 @@ class OpsTally:
 
 @dataclass(frozen=True)
 class PumpResult:
+    """Output of one pumping run.
+
+    ``success_probs`` holds each stage's success probability, ``p_net`` the
+    net success probability of one full attempt and ``conditionals`` each
+    stage's per-round conditional success probabilities.
+    """
+
     f_out: np.ndarray
     success_probs: dict[str, float]
     attempt_cost: OpsTally
+    p_net: float
+    conditionals: tuple[list[float], ...] = field(repr=False)
+    program: StageProgram = field(repr=False)
+
+    def round_chain(self) -> list[float]:
+        """The conditionals of every round of one attempt, in protocol order."""
+        return [self.conditionals[i][r] for i, r in self.program.order]
 
 
 def _meas_weights(p_M: float) -> tuple[float, float]:
@@ -162,10 +197,10 @@ def _cached_maps(p_table_bytes: bytes, p_M: float):
     noise = NoiseParams(p_table=p_table.copy(), p_M=p_M)
     T = _bilateral_cnot_map(noise)
     S = _single_tensor_from_map(T, p_M)
-    D = _double_tensor_from_map(T, p_M)
-    for arr in (T, S, D):  # shared cached instances
+    maps = {"S": S, "S_H": S[np.ix_(_H, _H, _H)], "D": _double_tensor_from_map(T, p_M)}
+    for arr in maps.values():  # shared cached instances
         arr.setflags(write=False)
-    return T, S, D
+    return maps
 
 
 def _maps(noise: NoiseParams):
@@ -191,18 +226,13 @@ def _double_tensor_from_map(T: np.ndarray, p_M: float) -> np.ndarray:
 def single_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """S[i, j, k]: unnormalised transition probabilities of one
     single-selection round for (kept, ancilla) input labels (i, j)."""
-    return _maps(noise)[1]
+    return _maps(noise)["S"]
 
 
 def double_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """D[i, j, k, l]: unnormalised transition probabilities of one
     double-selection round for (kept, ancilla1, ancilla2) labels (i, j, k)."""
-    return _maps(noise)[2]
-
-
-def _hadamard_twisted(S: np.ndarray) -> np.ndarray:
-    # Conjugate all three slots: the round checks phase flips instead.
-    return S[np.ix_(_H, _H, _H)]
+    return _maps(noise)["D"]
 
 
 def _finalize(unnorm: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -235,109 +265,163 @@ def double_selection(
     return _finalize(np.einsum("ijkl,i,j,k->l", D, f1, f2, f3), "double selection")
 
 
-def _chain(tensor3, start, ancilla, rounds, what):
-    """Apply an unnormalised two-input round `rounds` times with a fixed
-    ancilla vector; returns the final unnormalised vector and the per-round
-    conditional success probabilities."""
-    f = start.copy()
-    conditionals = []
-    for _ in range(rounds):
-        before = f.sum()
-        f = np.einsum("ijk,i,j->k", tensor3, f, ancilla)
-        after = f.sum()
-        if after <= 0.0:
-            raise SuccessProbabilityError(f"{what}: success probability underflowed to 0")
-        conditionals.append(float(after / before))
-    return f, conditionals
+# ---------------------------------------------------------------------------
+# Pumping: stage programs and their interpreter
+# ---------------------------------------------------------------------------
+
+#: an ancilla taken from a fresh channel pair every round
+_FRESH = (None, False)
+
+#: contraction of a round tensor with the kept pair and its ancillas, keyed
+#: by the number of ancillas
+_ROUND_SPEC = {1: "ijk,i,j->k", 2: "ijkl,i,j,k->l"}
 
 
-def single_pump_ops(n1: int, n2: int) -> OpsTally:
-    """Nominal operation counts of one full single-pumping attempt.
+@dataclass(frozen=True)
+class Stage:
+    """``rounds`` postselected rounds of one round tensor on one kept pair.
 
-    Every level-2 round consumes a freshly pumped level-1 pair (1 + n1 base
-    pairs, n1 rounds) plus the running target chain.
+    ``tensor`` is "S", "S_H" (S with all three slots Hadamard-twisted, so the
+    round checks phase flips) or "D".  ``start`` names the earlier stage whose
+    output the kept pair starts from, or is None for a fresh channel pair.
+    Each ancilla is a (source, rotated) pair: a source of None is a fresh
+    channel pair per round, otherwise the output of a freshly run instance
+    of the named stage, Hadamard-rotated when ``rotated`` is set.
     """
-    pairs = (1 + n1) * (1 + n2)
-    rounds = n1 + n2 * (n1 + 1)
-    return OpsTally(base_pairs=pairs, twoq_gates=2 * rounds, measurements=2 * rounds)
+
+    name: str
+    tensor: str
+    start: str | None
+    ancillas: tuple[tuple[str | None, bool], ...]
+    rounds: int
+    what: str
 
 
-def double_pump_ops(n1: int, m1: int, m2: int) -> OpsTally:
-    """Nominal operation counts of one full double-pumping attempt."""
-    pairs = 1 + 2 * m1 + m2 * (n1 + 2)
-    gates = 4 * m1 + m2 * (2 * n1 + 4)
-    return OpsTally(base_pairs=pairs, twoq_gates=gates, measurements=gates)
+@dataclass(frozen=True)
+class StageProgram:
+    """A compiled schedule and everything derived from its stage graph.
+
+    ``multiplicity[s]`` counts the instances of stage s one attempt runs;
+    ``order`` lists the (stage, round) of every postselected round of one
+    attempt in protocol order, ``round_costs`` the marginal cost of each.
+    The fresh start pair of every stage instance is a fixed cost
+    (``fixed_pairs``); every fresh ancilla pair is charged to its round.
+    """
+
+    stages: tuple[Stage, ...]
+    multiplicity: tuple[int, ...]
+    order: tuple[tuple[int, int], ...]
+    fixed_pairs: int
+    round_costs: tuple[OpsTally, ...]
+    tally: OpsTally
+
+
+@lru_cache(maxsize=256)
+def stage_program(schedule: PumpSchedule) -> StageProgram:
+    """Compile a schedule into its stage program."""
+    if schedule.scheme == "single":
+        n1, n2 = schedule.counts
+        stages = (
+            Stage("p_lv1", "S", None, (_FRESH,), n1, "level-1 single pumping"),
+            Stage("p_lv2", "S_H", "p_lv1", (("p_lv1", False),), n2, "level-2 single pumping"),
+        )
+    else:
+        n1, m1, m2 = schedule.counts
+        stages = (
+            Stage("r_lv1", "D", None, (_FRESH, _FRESH), m1, "level-1 double pumping"),
+            Stage("p_lv1", "S", None, (_FRESH,), n1, "level-1 single pumping"),
+            Stage("r_lv2", "D", "r_lv1", (("p_lv1", True), _FRESH), m2, "level-2 double pumping"),
+        )
+    index = {stage.name: i for i, stage in enumerate(stages)}
+    multiplicity = [0] * len(stages)
+    order = []
+    fixed_pairs = 0
+
+    def run(i):  # one instance of stage i, after the instances feeding it
+        nonlocal fixed_pairs
+        stage = stages[i]
+        multiplicity[i] += 1
+        if stage.start is None:
+            fixed_pairs += 1
+        else:
+            run(index[stage.start])
+        for r in range(stage.rounds):
+            for source, _ in stage.ancillas:
+                if source is not None:
+                    run(index[source])
+            order.append((i, r))
+
+    run(len(stages) - 1)
+    # each ancilla costs one bilateral CNOT (two gates) and one bilateral
+    # parity measurement (two measurements) per round
+    per_round = [
+        OpsTally(sum(src is None for src, _ in s.ancillas), 2 * len(s.ancillas), 2 * len(s.ancillas))
+        for s in stages
+    ]
+    round_costs = tuple(per_round[i] for i, _ in order)
+    tally = OpsTally(
+        base_pairs=fixed_pairs + sum(c.base_pairs for c in round_costs),
+        twoq_gates=sum(c.twoq_gates for c in round_costs),
+        measurements=sum(c.measurements for c in round_costs),
+    )
+    return StageProgram(stages, tuple(multiplicity), tuple(order), fixed_pairs, round_costs, tally)
+
+
+def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
+    """Two-level entanglement pumping: interpret the schedule's stage
+    program (see the module docstring)."""
+    program = stage_program(schedule)
+    f_ini = channel.f_ini
+    maps = _maps(noise)
+    outputs = {}
+    probs = {}
+    conditionals = []
+    for stage in program.stages:
+        tensor = maps[stage.tensor]
+        spec = _ROUND_SPEC[len(stage.ancillas)]
+        ancillas = [
+            f_ini if src is None else outputs[src][_H] if rotated else outputs[src]
+            for src, rotated in stage.ancillas
+        ]
+        f = f_ini if stage.start is None else outputs[stage.start]
+        before = 1.0  # start vectors are normalised
+        cond = []
+        for _ in range(stage.rounds):
+            f = np.einsum(spec, tensor, f, *ancillas)
+            after = f.sum()
+            if after <= 0.0:
+                raise SuccessProbabilityError(f"{stage.what}: success probability underflowed to 0")
+            cond.append(float(after / before))
+            before = after
+        p = float(before) if stage.rounds else 1.0
+        outputs[stage.name] = f / p if stage.rounds else f
+        probs[stage.name] = p
+        conditionals.append(cond)
+    p_net = 1.0
+    for stage, m in zip(program.stages, program.multiplicity):
+        p_net *= probs[stage.name] ** m
+    return PumpResult(
+        f_out=outputs[program.stages[-1].name],
+        success_probs=probs,
+        attempt_cost=program.tally,
+        p_net=p_net,
+        conditionals=tuple(conditionals),
+        program=program,
+    )
 
 
 def pump_single(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
-    """Two-level entanglement pumping with single selection.
-
-    Level 1 repeatedly purifies a fresh pair against fresh channel pairs;
-    level 2 purifies the level-1 output against level-1 pumped ancillae with
-    Hadamard-twisted checks so phase flips are filtered.
-    """
+    """:func:`pump` restricted to single-selection schedules."""
     if schedule.scheme != "single":
         raise ValueError("pump_single requires a single-selection schedule")
-    n1, n2 = schedule.counts
-    f_ini = channel.f_ini
-    S = single_selection_tensor(noise)
-
-    lv1, cond1 = _chain(S, f_ini, f_ini, n1, "level-1 single pumping")
-    f_lv1, p_lv1 = _finalize(lv1, "level-1 single pumping") if n1 else (f_ini, 1.0)
-
-    S2 = _hadamard_twisted(S)
-    lv2, _ = _chain(S2, f_lv1, f_lv1, n2, "level-2 single pumping")
-    f_lv2, p_lv2 = _finalize(lv2, "level-2 single pumping") if n2 else (f_lv1, 1.0)
-
-    return PumpResult(
-        f_out=f_lv2,
-        success_probs={"p_lv1": p_lv1, "p_lv2": p_lv2},
-        attempt_cost=single_pump_ops(n1, n2),
-    )
+    return pump(channel, schedule, noise)
 
 
 def pump_double(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
-    """Two-level entanglement pumping with double selection.
-
-    (i) m1 level-1 double-selection rounds purify the target with two fresh
-    pairs per round; (ii) n1 single-selection rounds build the level-2
-    ancilla; (iii) m2 level-2 double-selection rounds purify the target with
-    that ancilla plus one fresh pair per round.
-
-    The level-2 ancilla enters in the complementary (Hadamard-rotated) basis,
-    like the ancilla slot of the level-2 single-pumping map: single selection
-    filtered its bit-flip component, and the rotation moves that clean
-    component onto the phase-flip slot the level-2 rounds are sensitive to.
-    """
+    """:func:`pump` restricted to double-selection schedules."""
     if schedule.scheme != "double":
         raise ValueError("pump_double requires a double-selection schedule")
-    n1, m1, m2 = schedule.counts
-    f_ini = channel.f_ini
-    _, S, D = _maps(noise)
-
-    t = f_ini.copy()
-    for _ in range(m1):
-        t = np.einsum("ijkl,i,j,k->l", D, t, f_ini, f_ini)
-        if t.sum() <= 0.0:
-            raise SuccessProbabilityError("level-1 double pumping: success probability underflowed to 0")
-    f_t1, r_lv1 = _finalize(t, "level-1 double pumping") if m1 else (f_ini, 1.0)
-
-    lv1, _ = _chain(S, f_ini, f_ini, n1, "level-1 single pumping")
-    f_lv1, p_lv1 = _finalize(lv1, "level-1 single pumping") if n1 else (f_ini, 1.0)
-
-    ancilla = f_lv1[_H]
-    g = f_t1.copy()
-    for _ in range(m2):
-        g = np.einsum("ijkl,i,j,k->l", D, g, ancilla, f_ini)
-        if g.sum() <= 0.0:
-            raise SuccessProbabilityError("level-2 double pumping: success probability underflowed to 0")
-    f_out, r_lv2 = _finalize(g, "level-2 double pumping") if m2 else (f_t1, 1.0)
-
-    return PumpResult(
-        f_out=f_out,
-        success_probs={"r_lv1": r_lv1, "p_lv1": p_lv1, "r_lv2": r_lv2},
-        attempt_cost=double_pump_ops(n1, m1, m2),
-    )
+    return pump(channel, schedule, noise)
 
 
 def round_success_chain(
@@ -345,40 +429,7 @@ def round_success_chain(
 ) -> list[float]:
     """Conditional per-round success probabilities of one full attempt, in
     protocol order.  Their product is the attempt's net success probability."""
-    f_ini = channel.f_ini
-    if schedule.scheme == "single":
-        n1, n2 = schedule.counts
-        S = single_selection_tensor(noise)
-        lv1, cond1 = _chain(S, f_ini, f_ini, n1, "level-1 single pumping")
-        f_lv1 = lv1 / lv1.sum() if n1 else f_ini
-        S2 = _hadamard_twisted(S)
-        probs = list(cond1)
-        # each level-2 round first rebuilds its level-1 ancilla
-        f = f_lv1.copy()
-        for _ in range(n2):
-            probs.extend(cond1)
-            f, c = _chain(S2, f, f_lv1, 1, "level-2 single pumping")
-            f = f / f.sum()
-            probs.extend(c)
-        return probs
-    n1, m1, m2 = schedule.counts
-    _, S, D = _maps(noise)
-    probs = []
-    t = f_ini.copy()
-    for _ in range(m1):
-        before = t.sum()
-        t = np.einsum("ijkl,i,j,k->l", D, t, f_ini, f_ini)
-        probs.append(float(t.sum() / before))
-    t = t / t.sum()
-    lv1, cond1 = _chain(S, f_ini, f_ini, n1, "level-1 single pumping")
-    f_lv1 = lv1 / lv1.sum() if n1 else f_ini
-    ancilla = f_lv1[_H]
-    for _ in range(m2):
-        probs.extend(cond1)
-        t = np.einsum("ijkl,i,j,k->l", D, t, ancilla, f_ini)
-        probs.append(float(t.sum()))
-        t = t / t.sum()
-    return probs
+    return pump(channel, schedule, noise).round_chain()
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import ChannelParams, NoiseParams, depolarizing_noise
-from .purify import (
-    OpsTally,
-    PumpSchedule,
-    SuccessProbabilityError,
-    double_pump_ops,
-    pump_double,
-    pump_single,
-    round_success_chain,
-    single_pump_ops,
-)
+from .purify import OpsTally, PumpResult, PumpSchedule, SuccessProbabilityError, pump
+from .threshold import level_crossing
 
 #: physical two-qubit gates consumed by one logical pi/8 gate at one third of
 #: the topological threshold, read from the overhead scaling of the
@@ -41,6 +33,9 @@ T_PER_PI8_AT_THIRD_THRESHOLD = 2e10
 #: teleported-gate local cost on top of the purified pair it consumes
 TTG_TWOQ_GATES = 2
 TTG_MEASUREMENTS = 2
+
+#: most Bernoulli round draws the Monte Carlo cross-check may expect to make
+MC_DRAW_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -94,22 +89,6 @@ class ShorCount:
     pi8: float
 
 
-def _attempt_tally(schedule: PumpSchedule) -> OpsTally:
-    if schedule.scheme == "double":
-        return double_pump_ops(*schedule.counts)
-    return single_pump_ops(*schedule.counts)
-
-
-def _net_success(schedule: PumpSchedule, channel: ChannelParams, noise: NoiseParams) -> float:
-    if schedule.scheme == "double":
-        n1, m1, m2 = schedule.counts
-        probs = pump_double(channel, schedule, noise).success_probs
-        return probs["r_lv1"] * probs["p_lv1"] ** m2 * probs["r_lv2"]
-    n1, n2 = schedule.counts
-    probs = pump_single(channel, schedule, noise).success_probs
-    return probs["p_lv1"] ** (1 + n2) * probs["p_lv2"]
-
-
 def expected_cost(
     schedule: PumpSchedule,
     channel: ChannelParams,
@@ -119,37 +98,19 @@ def expected_cost(
     """Expected cost K of one delivered purified pair, teleported-gate
     operations included when local operations are counted."""
     model = model or CostModel()
-    tally = _attempt_tally(schedule)
+    result = pump(channel, schedule, noise)
     if model.restart == "round":
-        return _expected_cost_round_retry(schedule, channel, noise, model)
-    p_net = _net_success(schedule, channel, noise)
-    if p_net <= 0.0:
+        return _expected_cost_round_retry(result, model)
+    if result.p_net <= 0.0:
         raise SuccessProbabilityError("net success probability underflowed to 0")
-    return model.attempt_cost(tally) / p_net
+    return model.attempt_cost(result.attempt_cost) / result.p_net
 
 
-def _round_costs(schedule: PumpSchedule) -> list[OpsTally]:
-    """Marginal cost of each postselected round, in protocol order."""
-    if schedule.scheme == "double":
-        n1, m1, m2 = schedule.counts
-        d1 = OpsTally(2, 4, 4)
-        anc = OpsTally(1, 2, 2)
-        d2 = OpsTally(1, 4, 4)
-        return [d1] * m1 + ([anc] * n1 + [d2]) * m2
-    n1, n2 = schedule.counts
-    s = OpsTally(1, 2, 2)
-    return [s] * n1 + ([s] * n1 + [s]) * n2
-
-
-def _expected_cost_round_retry(schedule, channel, noise, model) -> float:
-    chain = round_success_chain(channel, schedule, noise)
-    costs = _round_costs(schedule)
-    assert len(chain) == len(costs)
-    # fixed setup cost: the initial pairs of the target and ancilla chains
-    tally = _attempt_tally(schedule)
-    fixed_pairs = tally.base_pairs - sum(c.base_pairs for c in costs)
-    total = model.attempt_cost(OpsTally(fixed_pairs, 0, 0))
-    for s, c in zip(chain, costs):
+def _expected_cost_round_retry(result: PumpResult, model: CostModel) -> float:
+    program = result.program
+    # fixed setup cost: the fresh start pair of every stage instance
+    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0))
+    for s, c in zip(result.round_chain(), program.round_costs):
         total += model.attempt_cost(c, include_gate_ops=False) / s
     if model.count_local_ops:
         total += model.weight_gate * TTG_TWOQ_GATES + model.weight_measurement * TTG_MEASUREMENTS
@@ -170,12 +131,22 @@ def simulate_expected_cost(
     conditional round success probabilities of the evolving protocol) and is
     restarted on any failure; every started attempt pays the full attempt
     cost.  Averages the realised cost over ``trials`` delivered pairs.
+
+    Raises ValueError before drawing anything when the expected number of
+    round draws, trials * rounds / p_net, exceeds MC_DRAW_BUDGET.
     """
     model = model or CostModel()
     if model.restart != "protocol":
         raise ValueError("the Monte Carlo oracle simulates the all-or-nothing policy")
-    chain = np.array(round_success_chain(channel, schedule, noise))
-    cost = model.attempt_cost(_attempt_tally(schedule))
+    result = pump(channel, schedule, noise)
+    chain = np.array(result.round_chain())
+    draws = trials * chain.size / result.p_net if result.p_net > 0.0 else math.inf
+    if draws > MC_DRAW_BUDGET:
+        raise ValueError(
+            f"Monte Carlo cross-check refused: net success probability {result.p_net:.3g} "
+            f"needs about {draws:.3g} round draws, over the budget of {MC_DRAW_BUDGET:.0e}"
+        )
+    cost = model.attempt_cost(result.attempt_cost)
     rng = np.random.default_rng(seed)
     alive = trials
     attempts = 0
@@ -201,36 +172,17 @@ def contour_expected_cost(
     """
     model = model or CostModel()
     curves = []
-
-    def k_of(F, p):
-        try:
-            return expected_cost(schedule, ChannelParams(F), depolarizing_noise(p, p), model)
-        except SuccessProbabilityError:
-            return math.inf
-
     for level in levels:
         if level <= 0:
             raise ValueError(f"contour level must be positive, got {level}")
         pts = []
         for F in F_grid:
-            if k_of(F, 0.0) >= level:
-                continue
-            lo, hi, p = 0.0, None, 1e-5
-            while p <= p_max:
-                if k_of(F, p) >= level:
-                    hi = p
-                    break
-                lo = p
-                p *= 2.0
-            if hi is None:
-                continue
-            while hi - lo > rel_tol * hi:
-                mid = 0.5 * (lo + hi)
-                if k_of(F, mid) < level:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append((float(F), 0.5 * (lo + hi)))
+            p = level_crossing(
+                lambda p: expected_cost(schedule, ChannelParams(F), depolarizing_noise(p, p), model),
+                level, rel_tol, p_max,
+            )
+            if p is not None:
+                pts.append((float(F), p))
         curves.append(pts)
     return curves
 

@@ -29,12 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import NoiseParams, as_fidelity_vector, label_mul
-
-I, X, Y, Z = 0, 1, 2, 3
-_X_BIT = (0, 1, 1, 0)
-_Z_BIT = (0, 0, 1, 1)
-_FROM_BITS = ((0, 3), (1, 2))
+from .pauli import _FROM_BITS, _X_BIT, _Z_BIT, I, X, Y, Z, NoiseParams, as_fidelity_vector, label_mul
 
 
 class GateKind(enum.Enum):

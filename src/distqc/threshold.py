@@ -15,12 +15,13 @@ landscapes over the channel fidelity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise
-from .purify import PumpSchedule, SuccessProbabilityError, pump_double, pump_single
+from .purify import PumpSchedule, SuccessProbabilityError, pump
 from .telegate import SYNDROME_GATE_KINDS, GateAggregates, aggregates, gate_error_table
 
 
@@ -145,41 +146,37 @@ def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
     """
     m = cond.margin
     if m == 1.0:
-        return (
+        return bool(
             q.qa < cond.qa_max
             and q.qb < cond.qbc_max
             and q.qc < cond.qbc_max
             and q.q_correlated < cond.qcor_max
         )
-    return q.qa < m * cond.qa_max and q.q_correlated < m * cond.qcor_budget
+    return bool(q.qa < m * cond.qa_max and q.q_correlated < m * cond.qcor_budget)
 
 
-def _p_M_of(p_M_rule, p_g: float) -> float:
+def p_M_of(p_M_rule, p_g: float) -> float:
+    """Measurement error under a p_M rule: "equal" (p_M = p_g),
+    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number."""
     if p_M_rule == "equal":
         return p_g
     if p_M_rule == "four_fifteenths":
         return 4.0 * p_g / 15.0
-    return float(p_M_rule) if not isinstance(p_M_rule, str) else _bad_rule(p_M_rule)
-
-
-def _bad_rule(rule):
-    raise ValueError(f"unknown p_M rule {rule!r}; expected 'equal', 'four_fifteenths' or a number")
-
-
-def _pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams):
-    if schedule.scheme == "double":
-        return pump_double(channel, schedule, noise)
-    return pump_single(channel, schedule, noise)
+    if isinstance(p_M_rule, str):
+        raise ValueError(
+            f"unknown p_M rule {p_M_rule!r}; expected 'equal', 'four_fifteenths' or a number"
+        )
+    return float(p_M_rule)
 
 
 def pipeline_passes(
     F: float, p_g: float, schedule: PumpSchedule, p_M_rule, cond: ThresholdConditions
 ) -> bool:
     """Pump, evaluate the error-class rates and check the conditions."""
-    p_M = _p_M_of(p_M_rule, p_g)
+    p_M = p_M_of(p_M_rule, p_g)
     noise = depolarizing_noise(p_g, p_M)
     try:
-        result = _pump(ChannelParams(F), schedule, noise)
+        result = pump(ChannelParams(F), schedule, noise)
     except SuccessProbabilityError:
         return False
     return check_ft(q_values(result.f_out, p_g, p_M), cond)
@@ -260,7 +257,7 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
 def pumped_infidelity(F: float, p: float, schedule: PumpSchedule) -> float:
     """Infidelity of the pumped pair at p_g = p_M = p."""
     noise = depolarizing_noise(p, p)
-    result = _pump(ChannelParams(F), schedule, noise)
+    result = pump(ChannelParams(F), schedule, noise)
     return float(1.0 - result.f_out[0])
 
 
@@ -284,36 +281,43 @@ def contour_infidelity(
     for schedule in schedules:
         pts = []
         for F in F_grid:
-            try:
-                base = pumped_infidelity(F, 0.0, schedule)
-            except SuccessProbabilityError:
-                continue
-            if base >= level:
-                continue  # channel too poor: the level is exceeded already at p = 0
-            lo, hi = 0.0, None
-            p = 1e-5
-            while p <= p_max:
-                try:
-                    inf = pumped_infidelity(F, p, schedule)
-                except SuccessProbabilityError:
-                    break
-                if inf >= level:
-                    hi = p
-                    break
-                lo = p
-                p *= 2.0
-            if hi is None:
-                continue
-            while hi - lo > rel_tol * hi:
-                mid = 0.5 * (lo + hi)
-                try:
-                    inf = pumped_infidelity(F, mid, schedule)
-                except SuccessProbabilityError:
-                    inf = float("inf")
-                if inf < level:
-                    lo = mid
-                else:
-                    hi = mid
-            pts.append((float(F), 0.5 * (lo + hi)))
+            p = level_crossing(lambda p: pumped_infidelity(F, p, schedule), level, rel_tol, p_max)
+            if p is not None:
+                pts.append((float(F), p))
         curves.append(pts)
     return curves
+
+
+def level_crossing(value, level: float, rel_tol: float, p_max: float) -> float | None:
+    """Local error rate where an increasing ``value(p)`` reaches ``level``.
+
+    Doubles p from 1e-5 up to p_max until the level is reached, then bisects
+    arithmetically to relative tolerance rel_tol and returns the midpoint.
+    Returns None when the level is reached already at p = 0 or not at any
+    doubling step.  A :class:`SuccessProbabilityError` counts as an infinite
+    value.
+    """
+
+    def at(p):
+        try:
+            return value(p)
+        except SuccessProbabilityError:
+            return math.inf
+
+    if at(0.0) >= level:
+        return None
+    lo, p = 0.0, 1e-5
+    while p <= p_max:
+        if at(p) >= level:
+            break
+        lo, p = p, 2.0 * p
+    else:
+        return None
+    hi = p
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if at(mid) < level:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -55,6 +56,18 @@ def test_qvalues_from_explicit_fbar(capsys):
     assert payload["fault_tolerant"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("--fbar", "0.99,0.004,0.003,0.003", "--pg", "1e-3"),
+    ("--F", "0.91", "--pg", "1.1e-3", "--schedule", "5,13"),
+])
+def test_qvalues_reports_non_fault_tolerant_points(capsys, argv):
+    # an independent-rate bound fails first here; the verdict must still
+    # serialise as a JSON boolean
+    code, out = run(capsys, "qvalues", *argv)
+    assert code == 0
+    assert '"fault_tolerant": false' in out
+
+
 def test_ttg_reports_circuit_agreement(capsys):
     code, out = run(capsys, "ttg", "--kind", "II", "--fbar", "0.997,0.001,0.001,0.001",
                     "--pg", "0.0015", "--pM", "0.001")
@@ -92,6 +105,18 @@ def test_output_is_deterministic(tmp_path, capsys):
                       "--seed", "7", "--out", str(path))
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_monte_carlo_refuses_a_point_beyond_its_draw_budget(capsys):
+    # p_net ~ 4.8e-24 here: the restart loop would need ~1e27 round draws
+    start = time.perf_counter()
+    code = main(["resource", "--F", "0.3", "--pg", "0.04", "--schedule", "3,4,14",
+                 "--mc-trials", "100"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "4.84e-24" in err
+    assert elapsed < 1.0
 
 
 def test_validation_errors_exit_one(capsys):

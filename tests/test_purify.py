@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import (
@@ -9,6 +12,7 @@ from distqc.purify import (
     double_selection_tensor,
     enumerate_double_map,
     enumerate_single_map,
+    pump,
     pump_double,
     pump_single,
     round_success_chain,
@@ -16,7 +20,9 @@ from distqc.purify import (
     sample_single_selection,
     single_selection,
     single_selection_tensor,
+    stage_program,
 )
+from distqc.resources import expected_cost
 
 PERFECT = np.array([1.0, 0.0, 0.0, 0.0])
 NOISELESS = depolarizing_noise(0.0, 0.0)
@@ -328,3 +334,39 @@ def test_success_probability_underflow_raises():
     # a pure bit-flip target with a perfect ancilla is always detected
     with pytest.raises(SuccessProbabilityError):
         single_selection([0, 1, 0, 0], PERFECT, NOISELESS)
+
+
+# --- stage program properties ----------------------------------------------
+
+SCHEDULES = st.one_of(
+    st.builds(PumpSchedule.single, st.integers(0, 6), st.integers(0, 14)),
+    st.builds(PumpSchedule.double, st.integers(0, 5), st.integers(0, 6), st.integers(0, 15)),
+)
+
+
+@settings(deadline=None)
+@given(schedule=SCHEDULES, F=st.floats(0.5, 1.0), p=st.floats(1e-5, 0.04))
+def test_stage_program_invariants(schedule, F, p):
+    channel, noise = ChannelParams(F), depolarizing_noise(p, p)
+    result = pump(channel, schedule, noise)
+    chain = round_success_chain(channel, schedule, noise)
+    assert math.prod(chain) == pytest.approx(result.p_net, rel=1e-12)
+    assert 0.0 < result.p_net <= 1.0
+    assert np.all(result.f_out >= 0.0) and abs(result.f_out.sum() - 1.0) < 1e-12
+
+    if schedule.scheme == "single":
+        n1, n2 = schedule.counts
+        pairs, gates = (1 + n1) * (1 + n2), 2 * (n1 + n2 * (n1 + 1))
+    else:
+        n1, m1, m2 = schedule.counts
+        pairs, gates = 1 + 2 * m1 + m2 * (n1 + 2), 4 * m1 + m2 * (2 * n1 + 4)
+    tally = result.attempt_cost
+    assert (tally.base_pairs, tally.twoq_gates, tally.measurements) == (pairs, gates, gates)
+
+    program = stage_program(schedule)
+    assert len(program.round_costs) == len(chain)
+    assert program.fixed_pairs + sum(c.base_pairs for c in program.round_costs) == pairs
+    assert sum(c.twoq_gates for c in program.round_costs) == tally.twoq_gates
+    assert sum(c.measurements for c in program.round_costs) == tally.measurements
+
+    assert expected_cost(schedule, channel, noise) >= pairs
