@@ -77,6 +77,15 @@ def _parse_pm(text: str):
     return float(text)
 
 
+class _Given(argparse.Action):
+    """Store an option's value and record the option in ``args.given``, so
+    a mode that does not read the option can refuse it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.option_strings[0]}
+
+
 def _noise_from_args(args, p_g: float) -> NoiseParams:
     pg_eff = p_g
     if getattr(args, "eta", 0.0):
@@ -225,6 +234,10 @@ def _cmd_resource(args) -> int:
     if args.levels:
         if not args.grid:
             raise ValueError("--levels requires --grid")
+        if args.given:
+            raise ValueError(
+                f"--levels traces contours over --grid and reads no {', '.join(sorted(args.given))}"
+            )
         levels = [float(x) for x in args.levels.split(",")]
         grid = _parse_grid(args.grid)
         curves = contour_expected_cost(schedule, levels, grid, model)
@@ -333,12 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo oracles")
         if pump_inputs:
-            p.add_argument("--F", type=float, default=1.0, help="channel fidelity")
-            p.add_argument("--pg", type=float, default=1e-3, help="two-qubit gate error probability")
-            p.add_argument("--pM", type=_parse_pm, default="equal",
-                           help="measurement error: 'equal', 'four_fifteenths' or a number")
-            p.add_argument("--eta", type=float, default=0.0, help="memory error rate per step")
-            p.add_argument("--l-wait", type=int, default=0, help="waiting steps for memory error")
+            p.add_argument("--F", type=float, default=1.0, action=_Given, help="channel fidelity")
+            p.add_argument("--pg", type=float, default=1e-3, action=_Given,
+                           help="two-qubit gate error probability")
+            pm_option(p)
+            p.add_argument("--eta", type=float, default=0.0, action=_Given,
+                           help="memory error rate per step")
+            p.add_argument("--l-wait", type=int, default=0, action=_Given,
+                           help="waiting steps for memory error")
+
+    def pm_option(p):
+        p.set_defaults(given=frozenset())
+        p.add_argument("--pM", type=_parse_pm, default="equal", action=_Given,
+                       help="measurement error: 'equal', 'four_fifteenths' or a number")
 
     p = sub.add_parser("pump", help="pumped fidelity vector and success probabilities")
     common(p)
@@ -360,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qvalues)
 
     p = sub.add_parser("threshold-curve", help="threshold gate error over a fidelity grid")
-    common(p)
+    common(p, pump_inputs=False)
+    pm_option(p)
     p.add_argument("--schedule", required=True)
     p.add_argument("--grid", required=True, help="F grid start:stop:count")
     p.add_argument("--margin", type=float, default=1.0)
@@ -379,9 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schedule", required=True)
     p.add_argument("--count-local-ops", action="store_true",
                    help="count gates and measurements in addition to base pairs")
-    p.add_argument("--mc-trials", type=int, default=0,
+    p.add_argument("--mc-trials", type=int, default=0, action=_Given,
                    help="cross-check K with this many Monte Carlo trials")
-    p.add_argument("--n-bits", type=int, default=0, help="factoring size for overhead totals")
+    p.add_argument("--n-bits", type=int, default=0, action=_Given,
+                   help="factoring size for overhead totals")
     p.add_argument("--T-per-gate", type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD)
     p.add_argument("--levels", default=None, help="emit K contours at these levels (CSV)")
     p.add_argument("--grid", default=None, help="F grid start:stop:count for contours")

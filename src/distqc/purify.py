@@ -42,6 +42,14 @@ and each round's marginal cost.  The interpreter runs every stage once per
 call on normalised inputs, since repeated instances of a stage are
 identical; within a stage the unnormalised label vector accumulates the
 joint success probability of its rounds.
+
+The interpreter works on lanes: every array carries a leading lane axis,
+and each lane is an independent pumping run with its own channel vector and
+round tensors.  :func:`pump_lanes` pumps a batch of lanes in one pass and
+builds the round tensors once per distinct noise point; :func:`pump` is the
+one-lane call, with the tensors cached per noise point.  A lane's result is
+bitwise the result of pumping it alone, and a lane whose success
+probability underflows is flagged without touching the others.
 """
 
 from __future__ import annotations
@@ -159,80 +167,82 @@ def _meas_weights(p_M: float) -> tuple[float, float]:
     return keep, flip
 
 
-def _pair_leg_noise(noise: NoiseParams) -> np.ndarray:
-    """Joint distribution of the net labels a bilateral CNOT adds to its pairs.
+# A bilateral CNOT applies two physical gates, one per side, each followed by
+# a draw (u, v) from the gate error table; the far side's labels fold through
+# the X<->Z swap, so the draws (uA, vA), (uB, vB) add the net labels
+# (uA*H(uB), vA*H(vB)) to the (control, target) pair.
+_UA, _VA, _UB, _VB = np.ix_(*[np.arange(4)] * 4)
+_LEG_C = np.broadcast_to(MUL_TABLE[_UA, _H[_UB]], (4,) * 4).ravel()
+_LEG_T = np.broadcast_to(MUL_TABLE[_VA, _H[_VB]], (4,) * 4).ravel()
+# An input pair (i, j) conjugates to cnot_propagate(i, j) = (a0, b0), and the
+# net labels (n1, n2) map it to (a0*n1, b0*n2), so the branch reaching
+# (a, b) carries the weight of the net labels (a0*a, b0*b): T[i, j, a, b]
+# gathers entry _T_LEG[i, j, a, b] of the flattened joint distribution.
+_T_LEG = (
+    4 * MUL_TABLE[CNOT_CONTROL_TABLE][:, :, :, None] + MUL_TABLE[CNOT_TARGET_TABLE][:, :, None, :]
+)
+# S_H[i, j, k] = S[H(i), H(j), H(k)], as an index into the flattened S
+_S_H = 16 * _H[:, None, None] + 4 * _H[None, :, None] + _H[None, None, :]
 
-    Combines the two per-side gate error draws; far-side errors fold through
-    the X<->Z swap.
+
+def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> dict[str, np.ndarray]:
+    """Round tensors of B noise points: the single-selection tensor "S", its
+    Hadamard-twisted form "S_H" and, if ``double`` is set, the
+    double-selection tensor "D", each with a leading axis over the points
+    ``p_tables[B, 4, 4]``, ``p_M[B]``.
+
+    einsum's summation order follows the memory layout of its operands, so
+    every array keeps the point axis outermost in memory and, within a
+    point, one fixed layout (D with its output axis outermost): a point's
+    tensors, and every contraction of them, are then bitwise the same
+    whichever points are built or pumped beside it.
     """
-    p = noise.p_table
-    idx = np.arange(4)
-    uA, vA, uB, vB = np.ix_(idx, idx, idx, idx)
-    w = p[uA, vA] * p[uB, vB]
-    n1 = MUL_TABLE[uA, _H[uB]]
-    n2 = MUL_TABLE[vA, _H[vB]]
-    n1, n2, w = np.broadcast_arrays(n1, n2, w)
-    joint = np.zeros((4, 4))
-    np.add.at(joint, (n1.ravel(), n2.ravel()), w.ravel())
-    return joint
-
-
-def _bilateral_cnot_map(noise: NoiseParams) -> np.ndarray:
-    """T[i, j, a, b]: probability the (control, target) pair labels (i, j)
-    become (a, b) under a noisy bilateral CNOT."""
-    leg = _pair_leg_noise(noise)
-    T = np.zeros((4, 4, 4, 4))
-    for i in range(4):
-        for j in range(4):
-            a0, b0 = cnot_propagate(i, j)
-            # noise label n maps the conjugated label a0 to a = a0*n, so the
-            # branch reaching (a, b) carries weight leg[a0*a, b0*b]
-            T[i, j] = leg[np.ix_(MUL_TABLE[a0], MUL_TABLE[b0])]
-    return T
+    n = len(p_M)
+    w = p_tables[:, _UA, _VA] * p_tables[:, _UB, _VB]
+    leg = np.zeros((n, 4, 4))
+    np.add.at(leg, (np.arange(n)[:, None], _LEG_C, _LEG_T), w.reshape(n, -1))
+    # T[n, i, j, a, b]: probability the (control, target) labels (i, j) become
+    # (a, b) under a noisy bilateral CNOT
+    T = leg.reshape(n, 16).take(_T_LEG, axis=1)
+    # Python's float power, point by point: numpy's power may round otherwise
+    keep, flip = np.array([_meas_weights(p) for p in p_M.tolist()]).reshape(n, 2).T[:, :, None]
+    w_z = np.where(Z_CHECK_ACCEPT, keep, flip)
+    w_x = np.where(X_CHECK_ACCEPT, keep, flip)
+    S = np.einsum("nijkb,nb->nijk", T, w_z)
+    maps = {"S": S, "S_H": S.reshape(n, 64).take(_S_H, axis=1)}
+    if double:
+        # gate 1: target pair (i) controls ancilla 1 (j); gate 2: ancilla 2
+        # (k) controls ancilla 1; ancilla 1 gets the Z check, ancilla 2 the X
+        # check; a trailing bilateral Hadamard acts on the kept pair, stored
+        # as the outermost axis within a point.
+        D = np.einsum("nijab,nkbdc,nc,nd->nijka", T, T, w_z, w_x)
+        maps["D"] = np.moveaxis(D, 4, 1).take(_H, axis=1).transpose(0, 2, 3, 4, 1)
+    return maps
 
 
 @lru_cache(maxsize=64)
 def _cached_maps(p_table_bytes: bytes, p_M: float):
-    p_table = np.frombuffer(p_table_bytes).reshape(4, 4)
-    noise = NoiseParams(p_table=p_table.copy(), p_M=p_M)
-    T = _bilateral_cnot_map(noise)
-    S = _single_tensor_from_map(T, p_M)
-    maps = {"S": S, "S_H": S[np.ix_(_H, _H, _H)], "D": _double_tensor_from_map(T, p_M)}
+    maps = _build_maps(np.frombuffer(p_table_bytes).reshape(1, 4, 4), np.array([p_M]))
     for arr in maps.values():  # shared cached instances
         arr.setflags(write=False)
     return maps
 
 
 def _maps(noise: NoiseParams):
+    """The one-lane round tensors of ``noise``, cached."""
     return _cached_maps(noise.p_table.tobytes(), noise.p_M)
-
-
-def _single_tensor_from_map(T: np.ndarray, p_M: float) -> np.ndarray:
-    keep, flip = _meas_weights(p_M)
-    w_z = np.where(Z_CHECK_ACCEPT, keep, flip)
-    return np.einsum("ijkb,b->ijk", T, w_z)
-
-
-def _double_tensor_from_map(T: np.ndarray, p_M: float) -> np.ndarray:
-    keep, flip = _meas_weights(p_M)
-    w_z = np.where(Z_CHECK_ACCEPT, keep, flip)
-    w_x = np.where(X_CHECK_ACCEPT, keep, flip)
-    # gate 1: target pair (i) controls ancilla 1 (j); gate 2: ancilla 2 (k)
-    # controls ancilla 1; ancilla 1 gets the Z check, ancilla 2 the X check.
-    D0 = np.einsum("ijab,kbdc,c,d->ijka", T, T, w_z, w_x)
-    return D0[:, :, :, _H]  # trailing bilateral Hadamard on the kept pair
 
 
 def single_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """S[i, j, k]: unnormalised transition probabilities of one
     single-selection round for (kept, ancilla) input labels (i, j)."""
-    return _maps(noise)["S"]
+    return _maps(noise)["S"][0]
 
 
 def double_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """D[i, j, k, l]: unnormalised transition probabilities of one
     double-selection round for (kept, ancilla1, ancilla2) labels (i, j, k)."""
-    return _maps(noise)["D"]
+    return _maps(noise)["D"][0]
 
 
 def _finalize(unnorm: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -272,9 +282,9 @@ def double_selection(
 #: an ancilla taken from a fresh channel pair every round
 _FRESH = (None, False)
 
-#: contraction of a round tensor with the kept pair and its ancillas, keyed
-#: by the number of ancillas
-_ROUND_SPEC = {1: "ijk,i,j->k", 2: "ijkl,i,j,k->l"}
+#: contraction of a round tensor with the kept pair and its ancillas, lane by
+#: lane, keyed by the number of ancillas
+_ROUND_SPEC = {1: "nijk,ni,nj->nk", 2: "nijkl,ni,nj,nk->nl"}
 
 
 @dataclass(frozen=True)
@@ -367,47 +377,112 @@ def stage_program(schedule: PumpSchedule) -> StageProgram:
     return StageProgram(stages, tuple(multiplicity), tuple(order), fixed_pairs, round_costs, tally)
 
 
-def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
-    """Two-level entanglement pumping: interpret the schedule's stage
-    program (see the module docstring)."""
-    program = stage_program(schedule)
-    f_ini = channel.f_ini
-    maps = _maps(noise)
+@dataclass(frozen=True)
+class Lanes:
+    """Output of one interpreter pass over B lanes, each an independent
+    pumping run.
+
+    ``f_out[b]`` is lane b's pumped vector, ``probs[s][b]`` the success
+    probability of stage s, ``p_net[b]`` the net success probability and
+    ``conditionals[s][r, b]`` the conditional success probability of round r
+    of stage s.  ``failed[b]`` is the index of the first stage whose success
+    probability underflowed to 0 in lane b, or -1; the other entries of such
+    a lane are meaningless.
+    """
+
+    f_out: np.ndarray
+    probs: tuple[np.ndarray, ...]
+    p_net: np.ndarray
+    conditionals: tuple[np.ndarray, ...]
+    failed: np.ndarray
+    program: StageProgram
+
+    def round_chain(self) -> list[np.ndarray]:
+        """The conditionals of every round of one attempt, in protocol order."""
+        return [self.conditionals[i][r] for i, r in self.program.order]
+
+    def result(self, b: int) -> PumpResult:
+        """Lane b as a :class:`PumpResult`; raises
+        :class:`SuccessProbabilityError` if the lane underflowed."""
+        program = self.program
+        s = int(self.failed[b])
+        if s >= 0:
+            raise SuccessProbabilityError(
+                f"{program.stages[s].what}: success probability underflowed to 0"
+            )
+        return PumpResult(
+            f_out=self.f_out[b],
+            success_probs={st.name: float(p[b]) for st, p in zip(program.stages, self.probs)},
+            attempt_cost=program.tally,
+            p_net=float(self.p_net[b]),
+            conditionals=tuple(c[:, b].tolist() for c in self.conditionals),
+            program=program,
+        )
+
+
+def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndarray]) -> Lanes:
+    """Run a stage program on every lane: lane b starts its fresh pairs from
+    ``f_ini[b]`` and uses the round tensors ``maps[name][b]``."""
+    n = len(f_ini)
     outputs = {}
-    probs = {}
+    probs = []
     conditionals = []
-    for stage in program.stages:
+    failed = np.full(n, -1)
+    for s, stage in enumerate(program.stages):
         tensor = maps[stage.tensor]
         spec = _ROUND_SPEC[len(stage.ancillas)]
         ancillas = [
-            f_ini if src is None else outputs[src][_H] if rotated else outputs[src]
+            f_ini if src is None else outputs[src].take(_H, axis=1) if rotated else outputs[src]
             for src, rotated in stage.ancillas
         ]
         f = f_ini if stage.start is None else outputs[stage.start]
-        before = 1.0  # start vectors are normalised
+        before = np.ones(n)  # start vectors are normalised
         cond = []
         for _ in range(stage.rounds):
             f = np.einsum(spec, tensor, f, *ancillas)
-            after = f.sum()
-            if after <= 0.0:
-                raise SuccessProbabilityError(f"{stage.what}: success probability underflowed to 0")
-            cond.append(float(after / before))
+            after = f.sum(axis=1)
+            under = after <= 0.0
+            if under.any():
+                failed[under & (failed < 0)] = s
+                after[under] = 1.0  # keeps the failed lane finite; no other lane reads it
+            cond.append(after / before)
             before = after
-        p = float(before) if stage.rounds else 1.0
-        outputs[stage.name] = f / p if stage.rounds else f
-        probs[stage.name] = p
-        conditionals.append(cond)
-    p_net = 1.0
-    for stage, m in zip(program.stages, program.multiplicity):
-        p_net *= probs[stage.name] ** m
-    return PumpResult(
+        outputs[stage.name] = f / before[:, None] if stage.rounds else f
+        probs.append(before)
+        conditionals.append(np.array(cond).reshape(stage.rounds, n))
+    # Python's float power, lane by lane (see _build_maps)
+    p_net = np.ones(n)
+    for p, m in zip(probs, program.multiplicity):
+        p_net = p_net * np.array([x**m for x in p.tolist()])
+    return Lanes(
         f_out=outputs[program.stages[-1].name],
-        success_probs=probs,
-        attempt_cost=program.tally,
+        probs=tuple(probs),
         p_net=p_net,
         conditionals=tuple(conditionals),
+        failed=failed,
         program=program,
     )
+
+
+def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lanes:
+    """Pump every lane in one interpreter pass: lane b starts from the
+    channel vector ``f_ini[b]`` under the noise ``noises[index[b]]``.
+
+    Only the round tensors the schedule's stages use are built, once per
+    entry of ``noises``, and copied to the lanes.
+    """
+    program = stage_program(schedule)
+    used = {stage.tensor for stage in program.stages}
+    maps = _build_maps(
+        np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]), "D" in used
+    )
+    return _interpret(program, f_ini, {name: maps[name][index] for name in used})
+
+
+def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
+    """Two-level entanglement pumping: interpret the schedule's stage
+    program (see the module docstring) on one lane."""
+    return _interpret(stage_program(schedule), channel.f_ini[None], _maps(noise)).result(0)
 
 
 def pump_single(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:

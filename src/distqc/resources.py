@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ChannelParams, NoiseParams, depolarizing_noise
-from .purify import OpsTally, PumpResult, PumpSchedule, SuccessProbabilityError, pump
-from .threshold import level_crossing
+from .pauli import ChannelParams, NoiseParams
+from .purify import Lanes, OpsTally, PumpResult, PumpSchedule, SuccessProbabilityError, pump
+from .threshold import level_crossing, pump_at
 
 #: physical two-qubit gates consumed by one logical pi/8 gate at one third of
 #: the topological threshold, read from the overhead scaling of the
@@ -99,17 +99,18 @@ def expected_cost(
     operations included when local operations are counted."""
     model = model or CostModel()
     result = pump(channel, schedule, noise)
-    if model.restart == "round":
-        return _expected_cost_round_retry(result, model)
-    if result.p_net <= 0.0:
+    if model.restart == "protocol" and result.p_net <= 0.0:
         raise SuccessProbabilityError("net success probability underflowed to 0")
-    return model.attempt_cost(result.attempt_cost) / result.p_net
+    return _cost(result, model)
 
 
-def _expected_cost_round_retry(result: PumpResult, model: CostModel) -> float:
+def _cost(result: PumpResult | Lanes, model: CostModel):
+    """K of one pumping run, or of every lane of a :class:`Lanes` result."""
     program = result.program
+    if model.restart == "protocol":
+        return model.attempt_cost(program.tally) / result.p_net
     # fixed setup cost: the fresh start pair of every stage instance
-    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0))
+    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0), include_gate_ops=False)
     for s, c in zip(result.round_chain(), program.round_costs):
         total += model.attempt_cost(c, include_gate_ops=False) / s
     if model.count_local_ops:
@@ -171,20 +172,30 @@ def contour_expected_cost(
     points where the level is not crossed in (0, p_max] are omitted.
     """
     model = model or CostModel()
-    curves = []
+    levels = list(levels)
     for level in levels:
         if level <= 0:
             raise ValueError(f"contour level must be positive, got {level}")
-        pts = []
-        for F in F_grid:
-            p = level_crossing(
-                lambda p: expected_cost(schedule, ChannelParams(F), depolarizing_noise(p, p), model),
-                level, rel_tol, p_max,
-            )
-            if p is not None:
-                pts.append((float(F), p))
-        curves.append(pts)
-    return curves
+    F_grid = list(F_grid)
+    n = len(F_grid)
+    if not levels:
+        return []
+    # lane k searches level k // n at fidelity k % n
+    f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
+
+    def cost(lanes, p):
+        pumped = pump_at(schedule, f_ini[lanes % n], p)
+        ok = pumped.failed < 0
+        if model.restart == "protocol":
+            ok &= pumped.p_net > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(ok, _cost(pumped, model), math.inf)
+
+    found = level_crossing(cost, np.repeat(levels, n), rel_tol, p_max)
+    return [
+        [(float(F), p) for F, p in zip(F_grid, found[k * n:(k + 1) * n]) if p is not None]
+        for k in range(len(levels))
+    ]
 
 
 def shor_gate_count(n_bits: int) -> ShorCount:

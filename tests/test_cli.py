@@ -150,3 +150,77 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+# stdout recorded before the sweeps were evaluated lane by lane; every byte,
+# down to the last printed digit, must stay the same
+PINNED_SWEEPS = {
+    ("threshold-curve", "--schedule", "3,4,14", "--grid", "0.2:1.0:5"): """\
+# distqc 0.1.0 threshold-curve schedule=3,4,14 grid=0.2:1.0:5 pM=equal margin=1.0
+F,p_g
+0.20000000000000001,nan
+0.40000000000000002,0
+0.60000000000000009,0
+0.80000000000000004,0.0026087185221180141
+1,0.0026087185221180141
+""",
+    ("threshold-curve", "--schedule", "3,4,14", "--grid", "0.2:1.0:5",
+     "--pM", "four_fifteenths", "--margin", "0.5"): """\
+# distqc 0.1.0 threshold-curve schedule=3,4,14 grid=0.2:1.0:5 pM=four_fifteenths margin=0.5
+F,p_g
+0.20000000000000001,nan
+0.40000000000000002,0
+0.60000000000000009,0
+0.80000000000000004,0.0017137445923345238
+1,0.0028568093059729593
+""",
+    ("infidelity-contour", "--schedule", "1,2,2", "--schedule", "5,13",
+     "--level", "1e-3", "--grid", "0.8:0.99:6"): """\
+# distqc 0.1.0 infidelity-contour level=0.001 grid=0.8:0.99:6
+schedule,F,p_g
+"1,2,2",0.91400000000000003,0.00037360351562500013
+"1,2,2",0.95199999999999996,0.0013623828125000001
+"1,2,2",0.98999999999999999,0.0017696093750000003
+"5,13",0.80000000000000004,5.8923339843750002e-05
+"5,13",0.83800000000000008,7.6701660156250028e-05
+"5,13",0.876,8.8874511718750005e-05
+"5,13",0.91400000000000003,0.00010035644531250002
+"5,13",0.95199999999999996,0.00011249511718750002
+"5,13",0.98999999999999999,0.00012565917968750001
+""",
+    ("resource", "--schedule", "2,4,8", "--levels", "20,80,400", "--grid", "0.8:0.99:6"): """\
+# distqc 0.1.0 resource levels=20,80,400 grid=0.8:0.99:6
+K,F,p_g
+80,0.98999999999999999,0.0016936718749999999
+400,0.95199999999999996,0.001854296875
+400,0.98999999999999999,0.0123384375
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(PINNED_SWEEPS))
+def test_sweep_output_is_pinned(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_SWEEPS[argv]
+
+
+@pytest.mark.parametrize("option", [("--F", "0.5"), ("--pg", "0.3"), ("--eta", "1e-3"),
+                                    ("--l-wait", "3")])
+def test_threshold_curve_refuses_point_options(capsys, option):
+    # the curve scans p_g over a fidelity grid; a point or memory error
+    # option would be dropped unread
+    code = main(["threshold-curve", "--schedule", "3,4,14", "--grid", "0.9:1.0:2", *option])
+    assert code == 1
+    assert option[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option", [("--F", "0.9"), ("--pg", "1e-3"), ("--pM", "equal"),
+                                    ("--eta", "1e-4"), ("--l-wait", "2"),
+                                    ("--mc-trials", "100"), ("--n-bits", "1024")])
+def test_resource_contour_refuses_point_options(capsys, option):
+    code = main(["resource", "--schedule", "1,2,2", "--levels", "30", "--grid", "0.9:0.95:2",
+                 *option])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and option[0] in captured.err

@@ -14,6 +14,7 @@ from distqc.purify import (
     enumerate_single_map,
     pump,
     pump_double,
+    pump_lanes,
     pump_single,
     round_success_chain,
     sample_double_selection,
@@ -370,3 +371,51 @@ def test_stage_program_invariants(schedule, F, p):
     assert sum(c.measurements for c in program.round_costs) == tally.measurements
 
     assert expected_cost(schedule, channel, noise) >= pairs
+
+
+# --- lanes -------------------------------------------------------------------
+
+PURE_X = np.array([0.0, 1.0, 0.0, 0.0])
+
+
+def assert_same_result(a, b):
+    assert np.array_equal(a.f_out, b.f_out)
+    assert a.success_probs == b.success_probs
+    assert a.p_net == b.p_net
+    assert a.conditionals == b.conditionals
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    schedule=SCHEDULES,
+    points=st.lists(
+        st.tuples(st.floats(0.3, 1.0), st.floats(0.0, 0.04), st.sampled_from([1.0, 4 / 15])),
+        min_size=1, max_size=5,
+    ),
+    pure_x=st.booleans(),
+)
+def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
+    # a lane's result depends on its own inputs alone, bit for bit; a pure
+    # bit-flip start under noiseless operations makes its lane underflow
+    # wherever a stage checks bit flips, and must not disturb the others
+    f_ini = [ChannelParams(F).f_ini for F, _, _ in points]
+    noises = [depolarizing_noise(p, r * p) for _, p, r in points]
+    if pure_x:
+        f_ini.append(PURE_X)
+        noises.append(NOISELESS)
+    f_ini = np.array(f_ini)
+    index = np.arange(len(noises))[::-1]
+    lanes = pump_lanes(schedule, f_ini, noises[::-1], index)
+    for b, noise in enumerate(noises):
+        alone = pump_lanes(schedule, f_ini[b:b + 1], [noise], [0])
+        assert lanes.failed[b] == alone.failed[0]
+        if alone.failed[0] >= 0:
+            with pytest.raises(SuccessProbabilityError) as lane_error:
+                lanes.result(b)
+            with pytest.raises(SuccessProbabilityError) as alone_error:
+                alone.result(0)
+            assert str(lane_error.value) == str(alone_error.value)
+            continue
+        assert_same_result(lanes.result(b), alone.result(0))
+        if b < len(points):
+            assert_same_result(lanes.result(b), pump(ChannelParams(points[b][0]), schedule, noise))

@@ -149,3 +149,20 @@ def test_overhead_from_expected_cost_band():
     K = expected_cost(SCHED_122, ChannelParams(0.9), MILD)
     report = total_overhead(K, T_PER_PI8_AT_THIRD_THRESHOLD, 3e11)
     assert 1.5e23 <= report.R <= 3.6e23
+
+
+@pytest.mark.parametrize(
+    "schedule", [PumpSchedule.double(0, 0, 0), SCHED_122, PumpSchedule.single(3, 4)]
+)
+def test_restart_policies_agree_when_no_round_fails(schedule):
+    # with a perfect channel and no noise every round succeeds, so retrying
+    # failed rounds costs what restarting failed attempts does; the
+    # teleported gate's local operations are charged once under both
+    channel, noise = ChannelParams(1.0), depolarizing_noise(0, 0)
+    k_protocol = expected_cost(schedule, channel, noise, CostModel(count_local_ops=True))
+    k_round = expected_cost(
+        schedule, channel, noise, CostModel(restart="round", count_local_ops=True)
+    )
+    assert k_round == k_protocol
+    if schedule == PumpSchedule.double(0, 0, 0):
+        assert k_round == 5.0

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import depolarizing_noise
 from distqc.purify import PumpSchedule
+from distqc.resources import CostModel, contour_expected_cost
 from distqc.telegate import GateKind, closed_form_aggregates
 from distqc.threshold import (
     DOUBLE_SCHEDULE_PRESETS,
     SINGLE_SCHEDULE_PRESETS,
+    NonMonotoneIndicatorError,
     QTuple,
     ThresholdConditions,
     check_ft,
@@ -246,3 +251,46 @@ def test_contour_points_sit_on_the_level():
     [[point]] = contour_infidelity([SCHED_122], 1e-3, [0.95])
     F, p = point
     assert pumped_infidelity(F, p, SCHED_122) == pytest.approx(1e-3, rel=1e-3)
+
+
+# --- lanes do not couple ----------------------------------------------------------
+
+PRESETS = SINGLE_SCHEDULE_PRESETS + DOUBLE_SCHEDULE_PRESETS + (SCHED_122,)
+FIDELITIES = st.floats(0.25, 1.0, exclude_min=True)
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    schedule=st.sampled_from(PRESETS),
+    grid=st.lists(FIDELITIES, min_size=1, max_size=6),
+    rule=st.sampled_from(["equal", "four_fifteenths"]),
+    margin=st.sampled_from([1.0, 0.5, 1 / 3]),
+)
+def test_threshold_curve_equals_pointwise_thresholds(schedule, grid, rule, margin):
+    # the lockstep search gives every lane exactly the threshold a search
+    # of that fidelity alone finds, NaN where that search raises
+    cond = ThresholdConditions(margin=margin)
+    curve = threshold_curve(schedule, grid, rule, cond)
+    assert [F for F, _ in curve] == grid
+    for F, th in curve:
+        try:
+            alone = threshold_pg(F, schedule, rule, cond)
+        except (NonMonotoneIndicatorError, ValueError):
+            alone = math.nan
+        assert same_float(th, alone)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    schedule=st.sampled_from(PRESETS),
+    levels=st.lists(st.floats(1.0, 3000.0), min_size=2, max_size=4),
+    grid=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
+    model=st.sampled_from([CostModel(), CostModel(restart="round", count_local_ops=True)]),
+)
+def test_cost_contour_levels_equal_separate_contours(schedule, levels, grid, model):
+    curves = contour_expected_cost(schedule, levels, grid, model)
+    assert curves == [contour_expected_cost(schedule, [level], grid, model)[0] for level in levels]
