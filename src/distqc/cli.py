@@ -247,6 +247,10 @@ def _cmd_resource(args) -> int:
                 rows.append((level, F, p))
         _csv_out(["K", "F", "p_g"], rows, f"resource levels={args.levels} grid={args.grid}", args)
         return 0
+    if "--seed" in args.given and not args.mc_trials:
+        raise ValueError("--seed seeds the Monte Carlo cross-check; it needs --mc-trials")
+    if "--T-per-gate" in args.given and not args.n_bits:
+        raise ValueError("--T-per-gate enters the overhead totals; it needs --n-bits")
     noise = _noise_from_args(args, args.pg)
     channel = ChannelParams(args.F)
     K = expected_cost(schedule, channel, noise, model)
@@ -344,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, pump_inputs=True):
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0, help="seed for Monte Carlo oracles")
         if pump_inputs:
             p.add_argument("--F", type=float, default=1.0, action=_Given, help="channel fidelity")
             p.add_argument("--pg", type=float, default=1e-3, action=_Given,
@@ -404,7 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cross-check K with this many Monte Carlo trials")
     p.add_argument("--n-bits", type=int, default=0, action=_Given,
                    help="factoring size for overhead totals")
-    p.add_argument("--T-per-gate", type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD)
+    p.add_argument("--T-per-gate", type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD,
+                   action=_Given)
+    p.add_argument("--seed", type=int, default=0, action=_Given,
+                   help="seed for the Monte Carlo cross-check")
     p.add_argument("--levels", default=None, help="emit K contours at these levels (CSV)")
     p.add_argument("--grid", default=None, help="F grid start:stop:count for contours")
     p.set_defaults(func=_cmd_resource)

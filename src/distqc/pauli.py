@@ -134,17 +134,13 @@ class NoiseParams:
         return float(self.p_table.sum() - self.p_table[0, 0])
 
 
-def depolarizing_noise(p_g: float, p_M: float, convention: str = "uniform") -> NoiseParams:
-    """Build NoiseParams with the 15 non-identity gate errors sharing p_g.
-
-    Only the uniform convention (each entry p_g/15) is defined.
-    """
+def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
+    """Build NoiseParams with the 15 non-identity gate errors sharing p_g
+    uniformly (each entry p_g/15)."""
     if not 0.0 <= p_g < 1.0:
         raise ValueError(f"p_g must lie in [0, 1), got {p_g}")
     if not 0.0 <= p_M < 1.0:
         raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
-    if convention != "uniform":
-        raise ValueError(f"unknown noise convention {convention!r}")
     table = np.full((4, 4), p_g / 15.0)
     table[0, 0] = 1.0 - p_g
     return NoiseParams(p_table=table, p_M=p_M)

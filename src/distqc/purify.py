@@ -47,9 +47,9 @@ The interpreter works on lanes: every array carries a leading lane axis,
 and each lane is an independent pumping run with its own channel vector and
 round tensors.  :func:`pump_lanes` pumps a batch of lanes in one pass and
 builds the round tensors once per distinct noise point; :func:`pump` is the
-one-lane call, with the tensors cached per noise point.  A lane's result is
-bitwise the result of pumping it alone, and a lane whose success
-probability underflows is flagged without touching the others.
+one-lane call.  A lane's result is bitwise the result of pumping it alone,
+and a lane whose success probability underflows is flagged without
+touching the others.
 """
 
 from __future__ import annotations
@@ -220,29 +220,16 @@ def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> d
     return maps
 
 
-@lru_cache(maxsize=64)
-def _cached_maps(p_table_bytes: bytes, p_M: float):
-    maps = _build_maps(np.frombuffer(p_table_bytes).reshape(1, 4, 4), np.array([p_M]))
-    for arr in maps.values():  # shared cached instances
-        arr.setflags(write=False)
-    return maps
-
-
-def _maps(noise: NoiseParams):
-    """The one-lane round tensors of ``noise``, cached."""
-    return _cached_maps(noise.p_table.tobytes(), noise.p_M)
-
-
 def single_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """S[i, j, k]: unnormalised transition probabilities of one
     single-selection round for (kept, ancilla) input labels (i, j)."""
-    return _maps(noise)["S"][0]
+    return _build_maps(noise.p_table[None], np.array([noise.p_M]), double=False)["S"][0]
 
 
 def double_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """D[i, j, k, l]: unnormalised transition probabilities of one
     double-selection round for (kept, ancilla1, ancilla2) labels (i, j, k)."""
-    return _maps(noise)["D"][0]
+    return _build_maps(noise.p_table[None], np.array([noise.p_M]))["D"][0]
 
 
 def _finalize(unnorm: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -482,7 +469,7 @@ def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lane
 def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
     """Two-level entanglement pumping: interpret the schedule's stage
     program (see the module docstring) on one lane."""
-    return _interpret(stage_program(schedule), channel.f_ini[None], _maps(noise)).result(0)
+    return pump_lanes(schedule, channel.f_ini[None], [noise], [0]).result(0)
 
 
 def pump_single(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
@@ -497,14 +484,6 @@ def pump_double(channel: ChannelParams, schedule: PumpSchedule, noise: NoisePara
     if schedule.scheme != "double":
         raise ValueError("pump_double requires a double-selection schedule")
     return pump(channel, schedule, noise)
-
-
-def round_success_chain(
-    channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams
-) -> list[float]:
-    """Conditional per-round success probabilities of one full attempt, in
-    protocol order.  Their product is the attempt's net success probability."""
-    return pump(channel, schedule, noise).round_chain()
 
 
 # ---------------------------------------------------------------------------

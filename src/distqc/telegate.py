@@ -245,14 +245,13 @@ def gate_error_table_from_circuit(
     f_bar,
     noise: NoiseParams,
     noise2: NoiseParams | None = None,
-    check: bool = True,
 ) -> np.ndarray:
     """Output error table rebuilt by first-order propagation of every error
     source (pair label, gate noise draws, measurement flips) through the
     reconstructed circuit.
 
-    With ``check`` set, raises :class:`TableMismatchError` if the result
-    disagrees with :func:`gate_error_table` beyond 1e-12.
+    Raises :class:`TableMismatchError` if the result disagrees with
+    :func:`gate_error_table` beyond 1e-12.
     """
     f = as_fidelity_vector(f_bar)
     tables = {"p": noise.p_table, "q": (noise2 or noise).p_table}
@@ -287,14 +286,13 @@ def gate_error_table_from_circuit(
                 out = _canonical_fresh_syndrome(out)
             t[out] += pM
 
-    if check:
-        closed = gate_error_table(kind, f_bar, noise, noise2)
-        delta = np.abs(t - closed).max()
-        if delta > 1e-12:
-            raise TableMismatchError(
-                f"kind {kind.value}: circuit table deviates from the closed form "
-                f"by {delta:.3e}"
-            )
+    closed = gate_error_table(kind, f_bar, noise, noise2)
+    delta = np.abs(t - closed).max()
+    if delta > 1e-12:
+        raise TableMismatchError(
+            f"kind {kind.value}: circuit table deviates from the closed form "
+            f"by {delta:.3e}"
+        )
     return t
 
 

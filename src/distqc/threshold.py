@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise
-from .purify import Lanes, PumpSchedule, pump, pump_lanes
+from .purify import Lanes, PumpSchedule, pump_lanes
 from .telegate import SYNDROME_GATE_KINDS, GateAggregates, aggregates, gate_error_table
 
 
@@ -177,7 +177,7 @@ def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
 
 def p_M_of(p_M_rule, p_g: float) -> float:
     """Measurement error under a p_M rule: "equal" (p_M = p_g),
-    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number."""
+    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number in [0, 1)."""
     if p_M_rule == "equal":
         return p_g
     if p_M_rule == "four_fifteenths":
@@ -186,7 +186,10 @@ def p_M_of(p_M_rule, p_g: float) -> float:
         raise ValueError(
             f"unknown p_M rule {p_M_rule!r}; expected 'equal', 'four_fifteenths' or a number"
         )
-    return float(p_M_rule)
+    p_M = float(p_M_rule)
+    if not 0.0 <= p_M < 1.0:
+        raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
+    return p_M
 
 
 def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule="equal") -> Lanes:
@@ -278,7 +281,9 @@ def _threshold_search(F, grid, rel_tol: float, p_max: float):
 
 def _thresholds(F_grid, schedule, p_M_rule, cond, rel_tol, p_max) -> list:
     """The threshold of every fidelity in ``F_grid``, searched in lockstep,
-    or the ValueError or NonMonotoneIndicatorError that fidelity meets."""
+    or the ValueError or NonMonotoneIndicatorError that fidelity meets.
+    Raises ValueError for a bad p_M rule, which no fidelity can pass."""
+    p_M_of(p_M_rule, 0.0)
     cond = cond or ThresholdConditions()
     grid = np.geomspace(1e-6, p_max, 24)
     results = [None] * len(F_grid)
@@ -291,12 +296,9 @@ def _thresholds(F_grid, schedule, p_M_rule, cond, rel_tol, p_max) -> list:
             results[i] = exc
     f_ini = np.array(f_ini).reshape(-1, 4)
     searches = [_threshold_search(F_grid[i], grid, rel_tol, p_max) for i in live]
-    try:
-        found = _lockstep(
-            searches, lambda owner, p: _passes(schedule, f_ini[owner], p, p_M_rule, cond)
-        )
-    except ValueError as exc:  # a p_M rule or noise point the scan cannot build
-        found = [exc] * len(live)
+    found = _lockstep(
+        searches, lambda owner, p: _passes(schedule, f_ini[owner], p, p_M_rule, cond)
+    )
     for i, th in zip(live, found):
         results[i] = th
     return results
@@ -333,7 +335,8 @@ def threshold_curve(
     """Threshold gate error per channel-fidelity grid point, every point
     searched in lockstep.
 
-    Per-point failures are recorded as NaN rather than aborting the sweep.
+    Per-point failures are recorded as NaN rather than aborting the sweep;
+    a bad p_M rule raises ValueError.
     """
     F_grid = list(F_grid)
     thresholds = _thresholds(F_grid, schedule, p_M_rule, cond, rel_tol, 0.05)
@@ -352,13 +355,6 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
     PumpSchedule.double(*c)
     for c in ((2, 5, 5), (2, 4, 8), (3, 3, 9), (3, 3, 11), (3, 3, 13), (3, 4, 14))
 )
-
-
-def pumped_infidelity(F: float, p: float, schedule: PumpSchedule) -> float:
-    """Infidelity of the pumped pair at p_g = p_M = p."""
-    noise = depolarizing_noise(p, p)
-    result = pump(ChannelParams(F), schedule, noise)
-    return float(1.0 - result.f_out[0])
 
 
 def contour_infidelity(

@@ -206,7 +206,7 @@ def test_sweep_output_is_pinned(capsys, argv):
 
 
 @pytest.mark.parametrize("option", [("--F", "0.5"), ("--pg", "0.3"), ("--eta", "1e-3"),
-                                    ("--l-wait", "3")])
+                                    ("--l-wait", "3"), ("--seed", "3")])
 def test_threshold_curve_refuses_point_options(capsys, option):
     # the curve scans p_g over a fidelity grid; a point or memory error
     # option would be dropped unread
@@ -217,10 +217,28 @@ def test_threshold_curve_refuses_point_options(capsys, option):
 
 @pytest.mark.parametrize("option", [("--F", "0.9"), ("--pg", "1e-3"), ("--pM", "equal"),
                                     ("--eta", "1e-4"), ("--l-wait", "2"),
-                                    ("--mc-trials", "100"), ("--n-bits", "1024")])
+                                    ("--mc-trials", "100"), ("--n-bits", "1024"),
+                                    ("--seed", "3"), ("--T-per-gate", "5")])
 def test_resource_contour_refuses_point_options(capsys, option):
     code = main(["resource", "--schedule", "1,2,2", "--levels", "30", "--grid", "0.9:0.95:2",
                  *option])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and option[0] in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("pump", "--F", "0.9", "--schedule", "1,2,2", "--seed", "5"),
+    ("ttg", "--kind", "II", "--seed", "5"),
+    ("qvalues", "--seed", "5"),
+    ("infidelity-contour", "--schedule", "1,2,2", "--grid", "0.9:0.95:2", "--seed", "5"),
+    ("resource", "--schedule", "1,2,2", "--seed", "5"),
+    ("resource", "--schedule", "1,2,2", "--T-per-gate", "5"),
+])
+def test_unread_options_are_refused(capsys, argv):
+    # only resource --mc-trials reads --seed, only resource --n-bits reads
+    # --T-per-gate; elsewhere either would be dropped unread
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert argv[-2] in captured.err

@@ -89,11 +89,6 @@ def test_depolarizing_noise_rejects_bad_inputs(p_g, p_M):
         depolarizing_noise(p_g, p_M)
 
 
-def test_depolarizing_noise_rejects_unknown_convention():
-    with pytest.raises(ValueError):
-        depolarizing_noise(0.01, 0.01, convention="biased")
-
-
 def test_effective_pg():
     assert effective_pg(0.001, 0.0, 5) == 0.001
     assert effective_pg(0.001, 0.0001, 5) == pytest.approx(0.0015)

@@ -16,7 +16,6 @@ from distqc.purify import (
     pump_double,
     pump_lanes,
     pump_single,
-    round_success_chain,
     sample_double_selection,
     sample_single_selection,
     single_selection,
@@ -279,7 +278,7 @@ def test_pump_single_infidelity_contour_self_consistency():
 
 def test_round_success_chain_matches_net_probability():
     schedule = PumpSchedule.double(1, 2, 2)
-    chain = round_success_chain(ChannelParams(0.9), schedule, MILD)
+    chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
     probs = pump_double(ChannelParams(0.9), schedule, MILD).success_probs
     net = probs["r_lv1"] * probs["p_lv1"] ** 2 * probs["r_lv2"]
     assert np.prod(chain) == pytest.approx(net, rel=1e-12)
@@ -288,7 +287,7 @@ def test_round_success_chain_matches_net_probability():
 
 def test_round_success_chain_single_scheme():
     schedule = PumpSchedule.single(2, 3)
-    chain = round_success_chain(ChannelParams(0.9), schedule, MILD)
+    chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
     probs = pump_single(ChannelParams(0.9), schedule, MILD).success_probs
     net = probs["p_lv1"] ** 4 * probs["p_lv2"]
     assert np.prod(chain) == pytest.approx(net, rel=1e-12)
@@ -307,10 +306,24 @@ def test_pump_outputs_normalized_across_parameters(F, schedule):
     assert all(0.0 < p <= 1.0 for p in result.success_probs.values())
 
 
-def test_cached_tensors_are_read_only():
-    S = single_selection_tensor(MILD)
-    with pytest.raises(ValueError):
-        S[0, 0, 0] = 2.0
+def test_returned_tensors_belong_to_the_caller():
+    # writing to a returned round tensor changes no later call at its noise
+    channel, f = ChannelParams(0.85), (0.85, 0.05, 0.05, 0.05)
+    schedules = (PumpSchedule.single(2, 3), PumpSchedule.double(1, 2, 2))
+    pumped = [pump(channel, s, MILD) for s in schedules]
+    kept, p = single_selection(f, f, MILD)
+    S, D = single_selection_tensor(MILD), double_selection_tensor(MILD)
+    S_before, D_before = S.copy(), D.copy()
+    S[...] = 0.0
+    D[...] = 0.0
+    assert np.array_equal(single_selection_tensor(MILD), S_before)
+    assert np.array_equal(double_selection_tensor(MILD), D_before)
+    kept_after, p_after = single_selection(f, f, MILD)
+    assert np.array_equal(kept_after, kept) and p_after == p
+    for schedule, before in zip(schedules, pumped):
+        after = pump(channel, schedule, MILD)
+        assert np.array_equal(after.f_out, before.f_out)
+        assert after.conditionals == before.conditionals
 
 
 def test_pump_schedule_parsing():
@@ -350,7 +363,7 @@ SCHEDULES = st.one_of(
 def test_stage_program_invariants(schedule, F, p):
     channel, noise = ChannelParams(F), depolarizing_noise(p, p)
     result = pump(channel, schedule, noise)
-    chain = round_success_chain(channel, schedule, noise)
+    chain = result.round_chain()
     assert math.prod(chain) == pytest.approx(result.p_net, rel=1e-12)
     assert 0.0 < result.p_net <= 1.0
     assert np.all(result.f_out >= 0.0) and abs(result.f_out.sum() - 1.0) < 1e-12

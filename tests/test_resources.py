@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from distqc.pauli import ChannelParams, depolarizing_noise
-from distqc.purify import PumpSchedule, round_success_chain
+from distqc.purify import PumpSchedule, pump
 from distqc.resources import (
     CostModel,
     T_PER_PI8_AT_THIRD_THRESHOLD,
@@ -80,7 +80,7 @@ def test_round_retry_charges_fresh_pairs_uniformly():
     # level-1 chain starts are fixed and only level-1 rounds draw fresh pairs
     n1, n2 = 3, 4
     schedule = PumpSchedule.single(n1, n2)
-    chain = round_success_chain(ChannelParams(0.9), schedule, MILD)
+    chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
     lv1 = list(range(n1)) + [n1 + r * (n1 + 1) + k for r in range(n2) for k in range(n1)]
     want = (1 + n2) + sum(1.0 / chain[i] for i in lv1)
     K = expected_cost(schedule, ChannelParams(0.9), MILD, CostModel(restart="round"))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distqc.pauli import depolarizing_noise
-from distqc.purify import PumpSchedule
+from distqc.pauli import ChannelParams, depolarizing_noise
+from distqc.purify import PumpSchedule, pump
 from distqc.resources import CostModel, contour_expected_cost
 from distqc.telegate import GateKind, closed_form_aggregates
 from distqc.threshold import (
@@ -17,7 +17,6 @@ from distqc.threshold import (
     check_ft,
     contour_infidelity,
     pipeline_passes,
-    pumped_infidelity,
     q_values,
     q_values_generic,
     raussendorf_gate_table,
@@ -186,8 +185,11 @@ def test_threshold_brackets_the_crossing():
 
 
 def test_threshold_rejects_unknown_rule():
-    with pytest.raises(ValueError):
-        threshold_pg(1.0, SCHED_122, "half")
+    for rule in ("half", 1.5):
+        with pytest.raises(ValueError):
+            threshold_pg(1.0, SCHED_122, rule)
+        with pytest.raises(ValueError):
+            threshold_curve(SCHED_122, [0.9, 1.0], rule)
 
 
 def test_operating_points():
@@ -242,7 +244,8 @@ def test_noiseless_infidelity_crosses_level_for_double_presets():
     # with perfect local operations every double-selection preset crosses
     # the 1e-3 infidelity level somewhere along the fidelity axis
     for schedule in DOUBLE_SCHEDULE_PRESETS:
-        values = [pumped_infidelity(F, 0.0, schedule) for F in (0.55, 0.75, 0.95)]
+        values = [1 - pump(ChannelParams(F), schedule, depolarizing_noise(0.0, 0.0)).f_out[0]
+                  for F in (0.55, 0.75, 0.95)]
         assert values[-1] < 1e-3
         assert values[0] > 1e-3
 
@@ -250,7 +253,8 @@ def test_noiseless_infidelity_crosses_level_for_double_presets():
 def test_contour_points_sit_on_the_level():
     [[point]] = contour_infidelity([SCHED_122], 1e-3, [0.95])
     F, p = point
-    assert pumped_infidelity(F, p, SCHED_122) == pytest.approx(1e-3, rel=1e-3)
+    infidelity = 1 - pump(ChannelParams(F), SCHED_122, depolarizing_noise(p, p)).f_out[0]
+    assert infidelity == pytest.approx(1e-3, rel=1e-3)
 
 
 # --- lanes do not couple ----------------------------------------------------------
