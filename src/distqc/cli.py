@@ -93,6 +93,20 @@ def _noise_from_args(args, p_g: float) -> NoiseParams:
     return depolarizing_noise(pg_eff, p_M_of(args.pM, pg_eff))
 
 
+def _f_bar(args, noise: NoiseParams):
+    """The purified vector: --fbar as given, or the output of pumping --F
+    with --schedule."""
+    if not args.fbar:
+        schedule = PumpSchedule.parse(args.schedule)
+        return pump(ChannelParams(args.F), schedule, noise).f_out
+    unread = args.given & {"--F", "--schedule"}
+    if unread:
+        raise ValueError(
+            f"--fbar gives the purified vector and reads no {', '.join(sorted(unread))}"
+        )
+    return [float(x) for x in args.fbar.split(",")]
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -140,12 +154,7 @@ def _cmd_pump(args) -> int:
 def _cmd_ttg(args) -> int:
     kind = GateKind(args.kind)
     noise = _noise_from_args(args, args.pg)
-    if args.fbar:
-        f_bar = [float(x) for x in args.fbar.split(",")]
-    else:
-        schedule = PumpSchedule.parse(args.schedule)
-        channel = ChannelParams(args.F)
-        f_bar = pump(channel, schedule, noise).f_out
+    f_bar = _f_bar(args, noise)
     table = gate_error_table(kind, f_bar, noise)
     circuit = gate_error_table_from_circuit(kind, f_bar, noise)
     agg = aggregates(table)
@@ -174,11 +183,7 @@ def _cmd_ttg(args) -> int:
 
 def _cmd_qvalues(args) -> int:
     noise = _noise_from_args(args, args.pg)
-    if args.fbar:
-        f_bar = [float(x) for x in args.fbar.split(",")]
-    else:
-        schedule = PumpSchedule.parse(args.schedule)
-        f_bar = pump(ChannelParams(args.F), schedule, noise).f_out
+    f_bar = _f_bar(args, noise)
     p_M = noise.p_M
     q = q_values(f_bar, noise.p_g, p_M)
     cond = ThresholdConditions(margin=args.margin)
@@ -247,6 +252,8 @@ def _cmd_resource(args) -> int:
                 rows.append((level, F, p))
         _csv_out(["K", "F", "p_g"], rows, f"resource levels={args.levels} grid={args.grid}", args)
         return 0
+    if args.grid:
+        raise ValueError("--grid is the fidelity grid of --levels contours; a point reads --F")
     if "--seed" in args.given and not args.mc_trials:
         raise ValueError("--seed seeds the Monte Carlo cross-check; it needs --mc-trials")
     if "--T-per-gate" in args.given and not args.n_bits:
@@ -372,13 +379,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--kind", required=True, choices=[k.value for k in GateKind])
     p.add_argument("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
-    p.add_argument("--schedule", default="1,2,2", help="pump schedule when --fbar not given")
+    p.add_argument("--schedule", default="1,2,2", action=_Given,
+                   help="pump schedule when --fbar not given")
     p.set_defaults(func=_cmd_ttg)
 
     p = sub.add_parser("qvalues", help="topological error-model rates and condition check")
     common(p)
     p.add_argument("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
-    p.add_argument("--schedule", default="1,2,2", help="pump schedule when --fbar not given")
+    p.add_argument("--schedule", default="1,2,2", action=_Given,
+                   help="pump schedule when --fbar not given")
     p.add_argument("--margin", type=float, default=1.0)
     p.set_defaults(func=_cmd_qvalues)
 

@@ -48,30 +48,21 @@ class CostModel:
     headline numbers.
     """
 
-    count_base_pairs: bool = True
     count_local_ops: bool = False
-    weight_base_pair: float = 1.0
-    weight_gate: float = 1.0
-    weight_measurement: float = 1.0
     restart: str = "protocol"
 
     def __post_init__(self):
         if self.restart not in ("protocol", "round"):
             raise ValueError(f"unknown restart policy {self.restart!r}")
-        for name in ("weight_base_pair", "weight_gate", "weight_measurement"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if not (self.count_base_pairs or self.count_local_ops):
-            raise ValueError("cost model counts nothing")
 
     def attempt_cost(self, tally: OpsTally, include_gate_ops: bool = True) -> float:
-        cost = 0.0
-        if self.count_base_pairs:
-            cost += self.weight_base_pair * tally.base_pairs
+        """Base pairs consumed, plus gates and measurements when local
+        operations are counted."""
+        cost = float(tally.base_pairs)
         if self.count_local_ops:
-            gates = tally.twoq_gates + (TTG_TWOQ_GATES if include_gate_ops else 0)
-            meas = tally.measurements + (TTG_MEASUREMENTS if include_gate_ops else 0)
-            cost += self.weight_gate * gates + self.weight_measurement * meas
+            cost += tally.twoq_gates + tally.measurements
+            if include_gate_ops:
+                cost += TTG_TWOQ_GATES + TTG_MEASUREMENTS
         return cost
 
 
@@ -114,7 +105,7 @@ def _cost(result: PumpResult | Lanes, model: CostModel):
     for s, c in zip(result.round_chain(), program.round_costs):
         total += model.attempt_cost(c, include_gate_ops=False) / s
     if model.count_local_ops:
-        total += model.weight_gate * TTG_TWOQ_GATES + model.weight_measurement * TTG_MEASUREMENTS
+        total += TTG_TWOQ_GATES + TTG_MEASUREMENTS
     return total
 
 
@@ -136,6 +127,8 @@ def simulate_expected_cost(
     Raises ValueError before drawing anything when the expected number of
     round draws, trials * rounds / p_net, exceeds MC_DRAW_BUDGET.
     """
+    if trials < 1:
+        raise ValueError(f"the Monte Carlo cross-check needs at least 1 trial, got {trials}")
     model = model or CostModel()
     if model.restart != "protocol":
         raise ValueError("the Monte Carlo oracle simulates the all-or-nothing policy")
@@ -163,13 +156,11 @@ def contour_expected_cost(
     levels,
     F_grid,
     model: CostModel | None = None,
-    rel_tol: float = 1e-4,
-    p_max: float = 0.05,
 ) -> list[list[tuple[float, float]]]:
     """Loci of fixed expected cost in the (F, p_g = p_M) plane.
 
     K grows with the local error rate, so each grid point is bisected in p;
-    points where the level is not crossed in (0, p_max] are omitted.
+    points where the level is not crossed in (0, P_MAX] are omitted.
     """
     model = model or CostModel()
     levels = list(levels)
@@ -191,7 +182,7 @@ def contour_expected_cost(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ok, _cost(pumped, model), math.inf)
 
-    found = level_crossing(cost, np.repeat(levels, n), rel_tol, p_max)
+    found = level_crossing(cost, np.repeat(levels, n))
     return [
         [(float(F), p) for F, p in zip(F_grid, found[k * n:(k + 1) * n]) if p is not None]
         for k in range(len(levels))

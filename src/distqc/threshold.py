@@ -12,16 +12,16 @@ aggregates, condition check) and bisects for the largest tolerable local gate
 error; ``threshold_curve`` and ``contour_infidelity`` trace the resulting
 landscapes over the channel fidelity.
 
-A landscape is evaluated as one lockstep search (:func:`_lockstep`): every
-grid fidelity runs its own search, a generator that reads like the search
-for one point, and each step pumps the rates all live searches ask for in one
-lane batch (:func:`distqc.purify.pump_lanes`), building round tensors once per
-distinct rate.  ``threshold_curve`` pumps the 24-point scan of every fidelity
-in one pass and then bisects every bracket in lockstep; ``level_crossing``
-does the same for the doubling and bisection of the contours.  Every lane's
-arithmetic is that of its search run alone, so each point is bitwise the
-point a search of that fidelity alone finds; ``threshold_pg`` and
-``pipeline_passes`` are the one-lane calls.
+A landscape is evaluated as one search over lane arrays: every grid
+fidelity is a lane holding its own bracket, and each step pumps the local
+error rates of all live lanes in one batch (:func:`distqc.purify.pump_lanes`),
+building round tensors once per distinct rate.  ``threshold_curve`` pumps
+the 24-point scan of every fidelity in one pass and then bisects every
+bracket together; ``level_crossing`` does the same for the doubling and
+bisection of the contours.  Every lane's arithmetic is that of its search
+run alone, so each point is bitwise the point a search of that fidelity
+alone finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane
+calls.
 """
 
 from __future__ import annotations
@@ -217,91 +217,41 @@ def pipeline_passes(
     return bool(_passes(schedule, ChannelParams(F).f_ini[None], np.array([p_g]), p_M_rule, cond)[0])
 
 
-def _lockstep(searches, evaluate) -> list:
-    """Drive independent searches in lockstep and return their results.
+#: upper end of every search over the local error rate: the threshold scan
+#: grid's last point and the doubling cap of the level crossings
+P_MAX = 0.05
 
-    Each search is a generator that yields the local error rate it needs
-    evaluated next, or an array of them, receives the value (or the list of
-    values) and finally returns its result.  Every step gathers the pending
-    rates of all live searches into one call ``evaluate(owner, p)``, where
-    ``owner[k]`` is the index of the search that asked for ``p[k]``.
-    """
-    results = [None] * len(searches)
-    pending = {}
-
-    def advance(i, sent):
-        try:
-            pending[i] = searches[i].send(sent)
-        except StopIteration as stop:
-            results[i] = stop.value
-
-    for i in range(len(searches)):
-        advance(i, None)
-    while pending:
-        asked = dict(pending)
-        pending.clear()
-        points = [np.atleast_1d(p) for p in asked.values()]
-        owner = np.repeat(list(asked), [len(p) for p in points])
-        values = evaluate(owner, np.concatenate(points)).tolist()
-        start = 0
-        for (i, p), pts in zip(asked.items(), points):
-            got = values[start:start + len(pts)]
-            start += len(pts)
-            advance(i, got if np.ndim(p) else got[0])
-    return results
+#: relative tolerance of the bisections (the default of the threshold
+#: searches, and that of every level crossing)
+REL_TOL = 1e-4
 
 
-def _threshold_search(F, grid, rel_tol: float, p_max: float):
-    """One fidelity's threshold search (a :func:`_lockstep` search of pass
-    flags): the scan over ``grid``, then geometric bisection of the bracket.
-    Returns the threshold, or the :class:`NonMonotoneIndicatorError` the
-    scan found."""
-    flags = yield grid
-    if not flags[0]:
-        return 0.0
-    crossings = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
-    if crossings > 1:
-        return NonMonotoneIndicatorError(
-            f"pass/fail indicator crosses {crossings} times over the scan grid at F={F}"
-        )
-    if all(flags):
-        return NonMonotoneIndicatorError(
-            f"pipeline still passes at the scan cap p_g={p_max} for F={F}"
-        )
-    k = flags.index(False)
-    lo, hi = grid[k - 1], grid[k]
-    while hi - lo > rel_tol * lo:
-        mid = np.sqrt(lo * hi)
-        if (yield mid):
-            lo = mid
-        else:
-            hi = mid
-    return float(np.sqrt(lo * hi))
-
-
-def _thresholds(F_grid, schedule, p_M_rule, cond, rel_tol, p_max) -> list:
-    """The threshold of every fidelity in ``F_grid``, searched in lockstep,
-    or the ValueError or NonMonotoneIndicatorError that fidelity meets.
-    Raises ValueError for a bad p_M rule, which no fidelity can pass."""
+def _thresholds(f_ini: np.ndarray, schedule: PumpSchedule, p_M_rule, cond, rel_tol: float):
+    """Threshold of every lane (channel vector ``f_ini[b]``), all lanes
+    searched together: one pass pumps the 24-point scan of every lane, then
+    each bisection step pumps the midpoints of the lanes still bracketing.
+    A lane that fails at the first scan point has threshold 0; one whose
+    scan does not cross from pass to fail exactly once has NaN.  Raises
+    ValueError for a bad p_M rule, which no lane can pass."""
     p_M_of(p_M_rule, 0.0)
     cond = cond or ThresholdConditions()
-    grid = np.geomspace(1e-6, p_max, 24)
-    results = [None] * len(F_grid)
-    live, f_ini = [], []
-    for i, F in enumerate(F_grid):
-        try:
-            f_ini.append(ChannelParams(F).f_ini)
-            live.append(i)
-        except ValueError as exc:
-            results[i] = exc
-    f_ini = np.array(f_ini).reshape(-1, 4)
-    searches = [_threshold_search(F_grid[i], grid, rel_tol, p_max) for i in live]
-    found = _lockstep(
-        searches, lambda owner, p: _passes(schedule, f_ini[owner], p, p_M_rule, cond)
-    )
-    for i, th in zip(live, found):
-        results[i] = th
-    return results
+    n = len(f_ini)
+    if not n:
+        return np.zeros(0)
+    grid = np.geomspace(1e-6, P_MAX, 24)
+    flags = _passes(
+        schedule, np.repeat(f_ini, grid.size, axis=0), np.tile(grid, n), p_M_rule, cond
+    ).reshape(n, grid.size)
+    found = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
+    k = np.argmin(flags, axis=1)  # first failing scan point
+    lo, hi = grid[k - 1], grid[k]
+    go = found & (hi - lo > rel_tol * lo)
+    while go.any():
+        mid = np.sqrt(lo[go] * hi[go])
+        ok = _passes(schedule, f_ini[go], mid, p_M_rule, cond)
+        lo[go], hi[go] = np.where(ok, mid, lo[go]), np.where(ok, hi[go], mid)
+        go &= hi - lo > rel_tol * lo
+    return np.where(found, np.sqrt(lo * hi), np.where(flags[:, 0], math.nan, 0.0))
 
 
 def threshold_pg(
@@ -309,20 +259,22 @@ def threshold_pg(
     schedule: PumpSchedule,
     p_M_rule="equal",
     cond: ThresholdConditions | None = None,
-    rel_tol: float = 1e-4,
-    p_max: float = 0.05,
+    rel_tol: float = REL_TOL,
 ) -> float:
     """Largest local gate error probability the full pipeline tolerates at
     channel fidelity F, located by bisection to relative tolerance rel_tol.
 
     Returns 0.0 when no positive error rate passes.  Raises
-    :class:`NonMonotoneIndicatorError` if the coarse scan sees more than one
-    pass/fail crossing; the bisection assumes a single one.
+    :class:`NonMonotoneIndicatorError` if the coarse scan up to P_MAX does
+    not show a single pass/fail crossing; the bisection assumes one.
     """
-    [th] = _thresholds([F], schedule, p_M_rule, cond, rel_tol, p_max)
-    if isinstance(th, Exception):
-        raise th
-    return th
+    [th] = _thresholds(ChannelParams(F).f_ini[None], schedule, p_M_rule, cond, rel_tol)
+    if math.isnan(th):
+        raise NonMonotoneIndicatorError(
+            f"pass/fail indicator does not cross exactly once over the scan grid "
+            f"up to p_g={P_MAX} at F={F}"
+        )
+    return float(th)
 
 
 def threshold_curve(
@@ -330,20 +282,26 @@ def threshold_curve(
     F_grid,
     p_M_rule="equal",
     cond: ThresholdConditions | None = None,
-    rel_tol: float = 1e-4,
+    rel_tol: float = REL_TOL,
 ) -> list[tuple[float, float]]:
     """Threshold gate error per channel-fidelity grid point, every point
-    searched in lockstep.
+    searched together.
 
-    Per-point failures are recorded as NaN rather than aborting the sweep;
-    a bad p_M rule raises ValueError.
+    A point that is no channel fidelity or has no single pass/fail crossing
+    is recorded as NaN rather than aborting the sweep; a bad p_M rule raises
+    ValueError.
     """
-    F_grid = list(F_grid)
-    thresholds = _thresholds(F_grid, schedule, p_M_rule, cond, rel_tol, 0.05)
-    return [
-        (float(F), math.nan if isinstance(th, Exception) else th)
-        for F, th in zip(F_grid, thresholds)
-    ]
+    F_grid = [float(F) for F in F_grid]
+    lanes, f_ini = [], []
+    for i, F in enumerate(F_grid):
+        try:
+            f_ini.append(ChannelParams(F).f_ini)
+        except ValueError:
+            continue
+        lanes.append(i)
+    th = np.full(len(F_grid), math.nan)
+    th[lanes] = _thresholds(np.array(f_ini).reshape(-1, 4), schedule, p_M_rule, cond, rel_tol)
+    return list(zip(F_grid, th.tolist()))
 
 
 #: repetition presets for the two pumping families
@@ -357,18 +315,12 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
 )
 
 
-def contour_infidelity(
-    schedules,
-    level: float,
-    F_grid,
-    rel_tol: float = 1e-4,
-    p_max: float = 0.05,
-) -> list[list[tuple[float, float]]]:
+def contour_infidelity(schedules, level: float, F_grid) -> list[list[tuple[float, float]]]:
     """Loci of fixed pumped-pair infidelity in the (F, p_g = p_M) plane.
 
     For each schedule and grid fidelity, bisects for the local error rate
     where the output infidelity crosses ``level``; points with no crossing in
-    (0, p_max] are omitted.  A level of 1 is never reached, so it yields
+    (0, P_MAX] are omitted.  A level of 1 is never reached, so it yields
     empty curves.
     """
     if not 0.0 < level <= 1.0:
@@ -382,42 +334,37 @@ def contour_infidelity(
             pumped = pump_at(schedule, f_ini[lanes], p)
             return np.where(pumped.failed < 0, 1.0 - pumped.f_out[:, 0], math.inf)
 
-        found = level_crossing(infidelity, [level] * len(F_grid), rel_tol, p_max)
+        found = level_crossing(infidelity, [level] * len(F_grid))
         curves.append([(float(F), p) for F, p in zip(F_grid, found) if p is not None])
     return curves
 
 
-def _crossing_search(level: float, rel_tol: float, p_max: float):
-    """One lane's level-crossing search (a :func:`_lockstep` search of values):
-    doubling from 1e-5, then arithmetic bisection."""
-    if (yield 0.0) >= level:
-        return None
-    lo, p = 0.0, 1e-5
-    while p <= p_max:
-        if (yield p) >= level:
-            break
-        lo, p = p, 2.0 * p
-    else:
-        return None
-    hi = p
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if (yield mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def level_crossing(value, levels, rel_tol: float, p_max: float) -> list[float | None]:
+def level_crossing(value, levels) -> list[float | None]:
     """Local error rate where each lane's increasing value reaches its level.
 
     ``value(lanes, p)`` returns the values of the given lanes (an index
     array) at the local error rates ``p``, with inf where a lane's success
-    probability underflowed.  Each lane doubles p from 1e-5 up to p_max until
-    its level is reached, then bisects arithmetically to relative tolerance
-    rel_tol and returns the midpoint; it returns None when the level is
-    reached already at p = 0 or not at any doubling step.  All lanes step
-    in lockstep, one call of ``value`` per step.
+    probability underflowed.  Each lane evaluates p = 0, then doubles p from
+    1e-5 up to P_MAX until its level is reached, then bisects arithmetically
+    to relative tolerance REL_TOL and returns the midpoint; it returns None
+    when the level is reached already at p = 0 or not at any doubling step.
+    Every step evaluates all live lanes in one call of ``value``.
     """
-    return _lockstep([_crossing_search(level, rel_tol, p_max) for level in levels], value)
+    levels = np.asarray(levels, dtype=float)
+    lo, hi = np.zeros(levels.size), np.zeros(levels.size)
+    bracketed = np.zeros(levels.size, dtype=bool)
+    live = np.ones(levels.size, dtype=bool)
+    while live.any():
+        lanes = np.flatnonzero(live)
+        bisecting = bracketed[lanes]
+        p = np.where(bisecting, 0.5 * (lo[lanes] + hi[lanes]), hi[lanes])
+        below = value(lanes, p) < levels[lanes]
+        lo[lanes] = np.where(below, p, lo[lanes])
+        # an unbracketed lane below its level doubles: 0, 1e-5, 2e-5, ...
+        doubled = np.maximum(2.0 * p, 1e-5)
+        hi[lanes] = np.where(below, np.where(bisecting, hi[lanes], doubled), p)
+        bracketed[lanes] = bisecting | ~below
+        live &= np.where(bracketed, hi - lo > REL_TOL * hi, hi <= P_MAX)
+    # a level reached already at p = 0 leaves the empty bracket [0, 0]
+    mid = (0.5 * (lo + hi)).tolist()
+    return [m if found and h > 0.0 else None for m, found, h in zip(mid, bracketed, hi)]

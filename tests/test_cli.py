@@ -234,11 +234,34 @@ def test_resource_contour_refuses_point_options(capsys, option):
     ("infidelity-contour", "--schedule", "1,2,2", "--grid", "0.9:0.95:2", "--seed", "5"),
     ("resource", "--schedule", "1,2,2", "--seed", "5"),
     ("resource", "--schedule", "1,2,2", "--T-per-gate", "5"),
+    ("resource", "--F", "0.9", "--schedule", "1,2,2", "--grid", "0.8:0.9:3"),
+    ("ttg", "--kind", "II", "--fbar", "0.97,0.01,0.01,0.01", "--F", "0.5"),
+    ("ttg", "--kind", "II", "--fbar", "0.97,0.01,0.01,0.01", "--schedule", "9,9"),
+    ("qvalues", "--fbar", "0.97,0.01,0.01,0.01", "--F", "0.5"),
+    ("qvalues", "--fbar", "0.97,0.01,0.01,0.01", "--schedule", "9,9"),
 ])
 def test_unread_options_are_refused(capsys, argv):
     # only resource --mc-trials reads --seed, only resource --n-bits reads
-    # --T-per-gate; elsewhere either would be dropped unread
+    # --T-per-gate, only resource --levels reads --grid, and --fbar replaces
+    # the pumped vector of --F and --schedule; elsewhere each would be
+    # dropped unread
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert argv[-2] in captured.err
+
+
+@pytest.mark.parametrize("command", [("ttg", "--kind", "II"), ("qvalues",)])
+def test_fbar_keeps_the_noise_options(capsys, command):
+    # the teleported gate and the q-values still read the local noise
+    code, out = run(capsys, *command, "--fbar", "0.97,0.01,0.01,0.01", "--pg", "2e-3",
+                    "--pM", "1e-3", "--eta", "1e-4", "--l-wait", "2")
+    assert code == 0
+    assert json.loads(out)["p_g"] > 2e-3
+
+
+def test_monte_carlo_refuses_negative_trials(capsys):
+    code = main(["resource", "--schedule", "1,2,2", "--mc-trials", "-5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "at least 1 trial" in captured.err

@@ -94,13 +94,15 @@ def test_monte_carlo_rejects_round_retry():
         )
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_monte_carlo_rejects_too_few_trials(trials):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=trials)
+
+
 def test_cost_model_validation():
     with pytest.raises(ValueError):
         CostModel(restart="never")
-    with pytest.raises(ValueError):
-        CostModel(weight_gate=-1.0)
-    with pytest.raises(ValueError):
-        CostModel(count_base_pairs=False, count_local_ops=False)
 
 
 def test_contour_ordering():
@@ -118,6 +120,10 @@ def test_contour_ordering():
 
 def test_contour_empty_levels():
     assert contour_expected_cost(SCHED_122, [], [0.9]) == []
+
+
+def test_contour_empty_grid():
+    assert contour_expected_cost(SCHED_122, [30.0], []) == [[]]
 
 
 def test_contour_rejects_bad_level():

@@ -235,6 +235,10 @@ def test_contour_level_one_is_empty():
     assert curves == [[]]
 
 
+def test_contour_empty_grid():
+    assert contour_infidelity([SCHED_122], 1e-3, []) == [[]]
+
+
 def test_contour_level_validation():
     with pytest.raises(ValueError):
         contour_infidelity([SCHED_122], 0.0, [0.9])
@@ -298,3 +302,18 @@ def test_threshold_curve_equals_pointwise_thresholds(schedule, grid, rule, margi
 def test_cost_contour_levels_equal_separate_contours(schedule, levels, grid, model):
     curves = contour_expected_cost(schedule, levels, grid, model)
     assert curves == [contour_expected_cost(schedule, [level], grid, model)[0] for level in levels]
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    schedules=st.lists(st.sampled_from(PRESETS), min_size=1, max_size=2),
+    level=st.floats(-5.0, -0.5).map(lambda e: 10.0**e),
+    grid=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=5),
+)
+def test_infidelity_contour_equals_pointwise_contours(schedules, level, grid):
+    # lanes leave the doubling and the bisection at different steps; each
+    # point must still be the one its fidelity finds alone
+    curves = contour_infidelity(schedules, level, grid)
+    assert curves == [
+        [pt for F in grid for pt in contour_infidelity([s], level, [F])[0]] for s in schedules
+    ]
