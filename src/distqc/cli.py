@@ -87,9 +87,9 @@ class _Given(argparse.Action):
 
 
 def _noise_from_args(args, p_g: float) -> NoiseParams:
-    pg_eff = p_g
-    if getattr(args, "eta", 0.0):
-        pg_eff = effective_pg(p_g, args.eta, args.l_wait)
+    if "--l-wait" in args.given and not args.eta:
+        raise ValueError("--l-wait counts waiting steps of memory error; it needs a nonzero --eta")
+    pg_eff = effective_pg(p_g, args.eta, args.l_wait) if args.eta else p_g
     return depolarizing_noise(pg_eff, p_M_of(args.pM, pg_eff))
 
 

@@ -34,14 +34,13 @@ output of an earlier stage):
   component, and the rotation moves that clean component onto the
   phase-flip slot the level-2 rounds are sensitive to.
 
-Everything else follows from the stage graph: how many instances of each
-stage one attempt runs, the attempt's operation tally, the net success
-probability (the product of each stage's success probability raised to its
-multiplicity), the per-round conditional success chain in protocol order
-and each round's marginal cost.  The interpreter runs every stage once per
-call on normalised inputs, since repeated instances of a stage are
-identical; within a stage the unnormalised label vector accumulates the
-joint success probability of its rounds.
+Everything else follows from the stage graph and each stage's round cost:
+how many instances of each stage one attempt runs, the attempt's operation
+tally and the net success probability (the product of each stage's success
+probability raised to its multiplicity).  The interpreter runs every stage
+once per call on normalised inputs, since repeated instances of a stage
+are identical; within a stage the unnormalised label vector accumulates
+the joint success probability of its rounds.
 
 The interpreter works on lanes: every array carries a leading lane axis,
 and each lane is an independent pumping run with its own channel vector and
@@ -54,6 +53,7 @@ touching the others.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -156,8 +156,18 @@ class PumpResult:
     program: StageProgram = field(repr=False)
 
     def round_chain(self) -> list[float]:
-        """The conditionals of every round of one attempt, in protocol order."""
-        return [self.conditionals[i][r] for i, r in self.program.order]
+        """The conditionals of every round of one attempt, in protocol order:
+        a stage instance runs after the instance giving its start pair, and
+        each of its rounds after the instances giving its ancillas."""
+        runs = {None: []}  # stage name -> the chain of one instance; fresh pairs add none
+        for stage, conds in zip(self.program.stages, self.conditionals):
+            run = list(runs[stage.start])
+            for cond in conds:
+                for source, _ in stage.ancillas:
+                    run += runs[source]
+                run.append(cond)
+            runs[stage.name] = run
+        return run
 
 
 def _meas_weights(p_M: float) -> tuple[float, float]:
@@ -298,18 +308,16 @@ class Stage:
 class StageProgram:
     """A compiled schedule and everything derived from its stage graph.
 
-    ``multiplicity[s]`` counts the instances of stage s one attempt runs;
-    ``order`` lists the (stage, round) of every postselected round of one
-    attempt in protocol order, ``round_costs`` the marginal cost of each.
-    The fresh start pair of every stage instance is a fixed cost
-    (``fixed_pairs``); every fresh ancilla pair is charged to its round.
+    ``multiplicity[s]`` counts the instances of stage s one attempt runs and
+    ``round_cost[s]`` is the cost of each round of stage s.  The fresh start
+    pair of every stage instance is a fixed cost (``fixed_pairs``); every
+    fresh ancilla pair is charged to its round.
     """
 
     stages: tuple[Stage, ...]
     multiplicity: tuple[int, ...]
-    order: tuple[tuple[int, int], ...]
     fixed_pairs: int
-    round_costs: tuple[OpsTally, ...]
+    round_cost: tuple[OpsTally, ...]
     tally: OpsTally
 
 
@@ -329,39 +337,25 @@ def stage_program(schedule: PumpSchedule) -> StageProgram:
             Stage("p_lv1", "S", None, (_FRESH,), n1, "level-1 single pumping"),
             Stage("r_lv2", "D", "r_lv1", (("p_lv1", True), _FRESH), m2, "level-2 double pumping"),
         )
-    index = {stage.name: i for i, stage in enumerate(stages)}
-    multiplicity = [0] * len(stages)
-    order = []
-    fixed_pairs = 0
-
-    def run(i):  # one instance of stage i, after the instances feeding it
-        nonlocal fixed_pairs
-        stage = stages[i]
-        multiplicity[i] += 1
-        if stage.start is None:
-            fixed_pairs += 1
-        else:
-            run(index[stage.start])
-        for r in range(stage.rounds):
-            for source, _ in stage.ancillas:
-                if source is not None:
-                    run(index[source])
-            order.append((i, r))
-
-    run(len(stages) - 1)
+    # a stage feeds only later ones, and runs once for each instance it
+    # starts and once per round for each ancilla slot it supplies; the fresh
+    # pairs of one attempt collect under None
+    instances = Counter({stages[-1].name: 1})
+    for stage in reversed(stages):
+        instances[stage.start] += instances[stage.name]
+        for source, _ in stage.ancillas:
+            instances[source] += instances[stage.name] * stage.rounds
+    multiplicity = tuple(instances[stage.name] for stage in stages)
+    fixed_pairs = sum(m for m, s in zip(multiplicity, stages) if s.start is None)
     # each ancilla costs one bilateral CNOT (two gates) and one bilateral
     # parity measurement (two measurements) per round
-    per_round = [
+    round_cost = tuple(
         OpsTally(sum(src is None for src, _ in s.ancillas), 2 * len(s.ancillas), 2 * len(s.ancillas))
         for s in stages
-    ]
-    round_costs = tuple(per_round[i] for i, _ in order)
-    tally = OpsTally(
-        base_pairs=fixed_pairs + sum(c.base_pairs for c in round_costs),
-        twoq_gates=sum(c.twoq_gates for c in round_costs),
-        measurements=sum(c.measurements for c in round_costs),
     )
-    return StageProgram(stages, tuple(multiplicity), tuple(order), fixed_pairs, round_costs, tally)
+    gates = sum(m * s.rounds * c.twoq_gates for m, s, c in zip(multiplicity, stages, round_cost))
+    tally = OpsTally(instances[None], gates, gates)  # one measurement per gate
+    return StageProgram(stages, multiplicity, fixed_pairs, round_cost, tally)
 
 
 @dataclass(frozen=True)
@@ -383,10 +377,6 @@ class Lanes:
     conditionals: tuple[np.ndarray, ...]
     failed: np.ndarray
     program: StageProgram
-
-    def round_chain(self) -> list[np.ndarray]:
-        """The conditionals of every round of one attempt, in protocol order."""
-        return [self.conditionals[i][r] for i, r in self.program.order]
 
     def result(self, b: int) -> PumpResult:
         """Lane b as a :class:`PumpResult`; raises
@@ -431,7 +421,7 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
             under = after <= 0.0
             if under.any():
                 failed[under & (failed < 0)] = s
-                after[under] = 1.0  # keeps the failed lane finite; no other lane reads it
+                after[under] = before[under]  # keeps cond finite; no other lane reads it
             cond.append(after / before)
             before = after
         outputs[stage.name] = f / before[:, None] if stage.rounds else f

@@ -37,6 +37,9 @@ TTG_MEASUREMENTS = 2
 #: most Bernoulli round draws the Monte Carlo cross-check may expect to make
 MC_DRAW_BUDGET = 10**9
 
+#: round draws the Monte Carlo cross-check makes at once, in whole attempts
+MC_BLOCK_DRAWS = 2**16
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -100,12 +103,12 @@ def _cost(result: PumpResult | Lanes, model: CostModel):
     program = result.program
     if model.restart == "protocol":
         return model.attempt_cost(program.tally) / result.p_net
-    # fixed setup cost: the fresh start pair of every stage instance
-    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0), include_gate_ops=False)
-    for s, c in zip(result.round_chain(), program.round_costs):
-        total += model.attempt_cost(c, include_gate_ops=False) / s
-    if model.count_local_ops:
-        total += TTG_TWOQ_GATES + TTG_MEASUREMENTS
+    # fixed setup cost: the teleported gate and the fresh start pair of every
+    # stage instance; each instance of a stage retries each of its rounds
+    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0))
+    for m, c, cond in zip(program.multiplicity, program.round_cost, result.conditionals):
+        cost = model.attempt_cost(c, include_gate_ops=False)
+        total = total + m * sum(cost / x for x in cond)
     return total
 
 
@@ -133,21 +136,26 @@ def simulate_expected_cost(
     if model.restart != "protocol":
         raise ValueError("the Monte Carlo oracle simulates the all-or-nothing policy")
     result = pump(channel, schedule, noise)
-    chain = np.array(result.round_chain())
-    draws = trials * chain.size / result.p_net if result.p_net > 0.0 else math.inf
+    rounds = sum(m * s.rounds for m, s in zip(result.program.multiplicity, result.program.stages))
+    draws = trials * rounds / result.p_net if result.p_net > 0.0 else math.inf
     if draws > MC_DRAW_BUDGET:
         raise ValueError(
             f"Monte Carlo cross-check refused: net success probability {result.p_net:.3g} "
             f"needs about {draws:.3g} round draws, over the budget of {MC_DRAW_BUDGET:.0e}"
         )
+    chain = np.array(result.round_chain())
     cost = model.attempt_cost(result.attempt_cost)
     rng = np.random.default_rng(seed)
+    # consecutive row blocks of Generator.random continue one stream, so the
+    # estimate does not depend on the block size
+    rows = max(1, MC_BLOCK_DRAWS // max(1, rounds))
     alive = trials
     attempts = 0
     while alive:
-        passed = (rng.random((alive, chain.size)) < chain).all(axis=1)
+        passed = sum(int((rng.random((min(rows, alive - b), rounds)) < chain).all(axis=1).sum())
+                     for b in range(0, alive, rows))
         attempts += alive
-        alive -= int(passed.sum())
+        alive -= passed
     return cost * attempts / trials
 
 

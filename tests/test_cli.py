@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -239,12 +240,16 @@ def test_resource_contour_refuses_point_options(capsys, option):
     ("ttg", "--kind", "II", "--fbar", "0.97,0.01,0.01,0.01", "--schedule", "9,9"),
     ("qvalues", "--fbar", "0.97,0.01,0.01,0.01", "--F", "0.5"),
     ("qvalues", "--fbar", "0.97,0.01,0.01,0.01", "--schedule", "9,9"),
+    ("pump", "--F", "0.9", "--schedule", "1,2,2", "--l-wait", "7"),
+    ("ttg", "--kind", "II", "--l-wait", "7"),
+    ("qvalues", "--l-wait", "7"),
+    ("resource", "--schedule", "1,2,2", "--l-wait", "7"),
 ])
 def test_unread_options_are_refused(capsys, argv):
     # only resource --mc-trials reads --seed, only resource --n-bits reads
-    # --T-per-gate, only resource --levels reads --grid, and --fbar replaces
-    # the pumped vector of --F and --schedule; elsewhere each would be
-    # dropped unread
+    # --T-per-gate, only resource --levels reads --grid, --fbar replaces
+    # the pumped vector of --F and --schedule, and only --eta reads
+    # --l-wait; elsewhere each would be dropped unread
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
@@ -265,3 +270,14 @@ def test_monte_carlo_refuses_negative_trials(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and "at least 1 trial" in captured.err
+
+
+def test_underflow_reports_only_the_error(capsys):
+    # a lane whose success probability underflows ends in the error line
+    # alone, without a numpy warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["pump", "--F", "0.9", "--schedule", "300,3000"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: level-2 single pumping: success probability underflowed to 0\n"

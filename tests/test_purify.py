@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import (
+    OpsTally,
     PumpSchedule,
     SuccessProbabilityError,
     double_selection,
@@ -378,12 +380,26 @@ def test_stage_program_invariants(schedule, F, p):
     assert (tally.base_pairs, tally.twoq_gates, tally.measurements) == (pairs, gates, gates)
 
     program = stage_program(schedule)
-    assert len(program.round_costs) == len(chain)
-    assert program.fixed_pairs + sum(c.base_pairs for c in program.round_costs) == pairs
-    assert sum(c.twoq_gates for c in program.round_costs) == tally.twoq_gates
-    assert sum(c.measurements for c in program.round_costs) == tally.measurements
+    assert len(chain) == sum(m * s.rounds for m, s in zip(program.multiplicity, program.stages))
+    assert program.fixed_pairs == 1 + schedule.counts[-1]
 
     assert expected_cost(schedule, channel, noise) >= pairs
+
+
+def test_stage_program_size_does_not_grow_with_the_rounds():
+    # a program holds per-stage data only, so compiling a long schedule
+    # allocates no per-round table
+    n1, n2 = 300, 3000
+    tracemalloc.start()
+    try:
+        program = stage_program.__wrapped__(PumpSchedule.single(n1, n2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert program.multiplicity == (1 + n2, 1)
+    gates = 2 * (n1 + n2 * (n1 + 1))
+    assert program.tally == OpsTally((1 + n1) * (1 + n2), gates, gates)
 
 
 # --- lanes -------------------------------------------------------------------

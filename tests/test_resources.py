@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from distqc.pauli import ChannelParams, depolarizing_noise
+from distqc import resources
 from distqc.purify import PumpSchedule, pump
 from distqc.resources import (
     CostModel,
@@ -85,6 +88,23 @@ def test_round_retry_charges_fresh_pairs_uniformly():
     want = (1 + n2) + sum(1.0 / chain[i] for i in lv1)
     K = expected_cost(schedule, ChannelParams(0.9), MILD, CostModel(restart="round"))
     assert K == pytest.approx(want, rel=1e-12)
+
+
+def test_monte_carlo_draws_in_bounded_blocks(monkeypatch):
+    # the draws are made in blocks, never for all live trials at once
+    # (200 000 trials x 6 rounds would be 9.6 MB of float64 in one array)
+    tracemalloc.start()
+    try:
+        simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=200_000, seed=4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    # the blocks continue one random stream: one-attempt blocks give the K
+    # of a single block
+    K = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4)
+    monkeypatch.setattr(resources, "MC_BLOCK_DRAWS", 1)
+    assert simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4) == K
 
 
 def test_monte_carlo_rejects_round_retry():
