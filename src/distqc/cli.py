@@ -9,6 +9,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -78,36 +79,51 @@ def _parse_pm(text: str):
 
 
 class _Given(argparse.Action):
-    """Store an option's value and record the option in ``args.given``, so
-    a mode that does not read the option can refuse it."""
+    """Store an option's value (a flag stores its const, an option with a
+    list default collects its values) and record in ``args.given`` that the
+    option was given."""
 
     def __call__(self, parser, namespace, values, option_string=None):
+        if self.nargs == 0:
+            values = self.const
+        elif isinstance(self.default, list):
+            values = getattr(namespace, self.dest) + [values]
         setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.option_strings[0]}
+        namespace.given = {**namespace.given, self.dest: self.option_strings[0]}
 
 
-def _noise_from_args(args, p_g: float) -> NoiseParams:
-    if "--l-wait" in args.given and not args.eta:
-        raise ValueError("--l-wait counts waiting steps of memory error; it needs a nonzero --eta")
-    pg_eff = effective_pg(p_g, args.eta, args.l_wait) if args.eta else p_g
+class _Args(argparse.Namespace):
+    """Parsed options that, once ``reads`` is set, record the name of every
+    attribute read from them."""
+
+    def __getattribute__(self, name):
+        attrs = object.__getattribute__(self, "__dict__")
+        if "reads" in attrs:
+            attrs["reads"].add(name)
+        return object.__getattribute__(self, name)
+
+
+def _noise_from_args(args) -> NoiseParams:
+    pg_eff = effective_pg(args.pg, args.eta, args.l_wait) if args.eta else args.pg
     return depolarizing_noise(pg_eff, p_M_of(args.pM, pg_eff))
 
 
 def _f_bar(args, noise: NoiseParams):
     """The purified vector: --fbar as given, or the output of pumping --F
     with --schedule."""
-    if not args.fbar:
-        schedule = PumpSchedule.parse(args.schedule)
-        return pump(ChannelParams(args.F), schedule, noise).f_out
-    unread = args.given & {"--F", "--schedule"}
+    if args.fbar:
+        return [float(x) for x in args.fbar.split(",")]
+    schedule = PumpSchedule.parse(args.schedule)
+    return pump(ChannelParams(args.F), schedule, noise).f_out
+
+
+def _emit(text: str, args) -> None:
+    """Write ``text`` to --out or stdout, unless an option was given that
+    the command never read: that option would be silently ignored."""
+    path = args.out
+    unread = sorted(opt for dest, opt in args.given.items() if dest not in args.reads)
     if unread:
-        raise ValueError(
-            f"--fbar gives the purified vector and reads no {', '.join(sorted(unread))}"
-        )
-    return [float(x) for x in args.fbar.split(",")]
-
-
-def _emit(text: str, path: str | None) -> None:
+        raise ValueError(f"{args.command} does not read {', '.join(unread)} with the options given")
     if path is None:
         sys.stdout.write(text)
     else:
@@ -117,19 +133,19 @@ def _emit(text: str, path: str | None) -> None:
 
 def _json_out(payload: dict, args) -> None:
     payload["version"] = __version__
-    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args)
 
 
 def _csv_out(header: list[str], rows, config: str, args) -> None:
     lines = [f"# distqc {__version__} {config}", ",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _emit("\n".join(lines) + "\n", args.out)
+        lines.append(",".join(f'"{v}"' if isinstance(v, str) else _fmt(v) for v in row))
+    _emit("\n".join(lines) + "\n", args)
 
 
 def _cmd_pump(args) -> int:
     schedule = PumpSchedule.parse(args.schedule)
-    noise = _noise_from_args(args, args.pg)
+    noise = _noise_from_args(args)
     channel = ChannelParams(args.F)
     result = pump(channel, schedule, noise)
     _json_out(
@@ -153,7 +169,7 @@ def _cmd_pump(args) -> int:
 
 def _cmd_ttg(args) -> int:
     kind = GateKind(args.kind)
-    noise = _noise_from_args(args, args.pg)
+    noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
     table = gate_error_table(kind, f_bar, noise)
     circuit = gate_error_table_from_circuit(kind, f_bar, noise)
@@ -182,7 +198,7 @@ def _cmd_ttg(args) -> int:
 
 
 def _cmd_qvalues(args) -> int:
-    noise = _noise_from_args(args, args.pg)
+    noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
     p_M = noise.p_M
     q = q_values(f_bar, noise.p_g, p_M)
@@ -226,10 +242,7 @@ def _cmd_infidelity_contour(args) -> int:
         for F, p in pts:
             rows.append((tag, F, p))
     config = f"infidelity-contour level={args.level} grid={args.grid}"
-    lines = [f"# distqc {__version__} {config}", "schedule,F,p_g"]
-    for tag, F, p in rows:
-        lines.append(f'"{tag}",{_fmt(F)},{_fmt(p)}')
-    _emit("\n".join(lines) + "\n", args.out)
+    _csv_out(["schedule", "F", "p_g"], rows, config, args)
     return 0
 
 
@@ -239,10 +252,6 @@ def _cmd_resource(args) -> int:
     if args.levels:
         if not args.grid:
             raise ValueError("--levels requires --grid")
-        if args.given:
-            raise ValueError(
-                f"--levels traces contours over --grid and reads no {', '.join(sorted(args.given))}"
-            )
         levels = [float(x) for x in args.levels.split(",")]
         grid = _parse_grid(args.grid)
         curves = contour_expected_cost(schedule, levels, grid, model)
@@ -252,13 +261,7 @@ def _cmd_resource(args) -> int:
                 rows.append((level, F, p))
         _csv_out(["K", "F", "p_g"], rows, f"resource levels={args.levels} grid={args.grid}", args)
         return 0
-    if args.grid:
-        raise ValueError("--grid is the fidelity grid of --levels contours; a point reads --F")
-    if "--seed" in args.given and not args.mc_trials:
-        raise ValueError("--seed seeds the Monte Carlo cross-check; it needs --mc-trials")
-    if "--T-per-gate" in args.given and not args.n_bits:
-        raise ValueError("--T-per-gate enters the overhead totals; it needs --n-bits")
-    noise = _noise_from_args(args, args.pg)
+    noise = _noise_from_args(args)
     channel = ChannelParams(args.F)
     K = expected_cost(schedule, channel, noise, model)
     payload = {
@@ -352,77 +355,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    point = {
+        "--F": dict(type=float, default=1.0, help="channel fidelity"),
+        "--pg": dict(type=float, default=1e-3, help="two-qubit gate error probability"),
+        "--pM": dict(type=_parse_pm, default="equal",
+                     help="measurement error: 'equal', 'four_fifteenths' or a number"),
+        "--eta": dict(type=float, default=0.0, help="memory error rate per step"),
+        "--l-wait": dict(type=int, default=0, help="waiting steps for memory error"),
+    }
 
-    def common(p, pump_inputs=True):
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        if pump_inputs:
-            p.add_argument("--F", type=float, default=1.0, action=_Given, help="channel fidelity")
-            p.add_argument("--pg", type=float, default=1e-3, action=_Given,
-                           help="two-qubit gate error probability")
-            pm_option(p)
-            p.add_argument("--eta", type=float, default=0.0, action=_Given,
-                           help="memory error rate per step")
-            p.add_argument("--l-wait", type=int, default=0, action=_Given,
-                           help="waiting steps for memory error")
+    def command(name, func, help, inputs):
+        """A numeric subcommand; each of its options records that it was given."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, given={})
+        add = functools.partial(p.add_argument, action=_Given)
+        add("--out", default=None, help="output path (default stdout)")
+        for flag in inputs:
+            add(flag, **point[flag])
+        return add
 
-    def pm_option(p):
-        p.set_defaults(given=frozenset())
-        p.add_argument("--pM", type=_parse_pm, default="equal", action=_Given,
-                       help="measurement error: 'equal', 'four_fifteenths' or a number")
+    add = command("pump", _cmd_pump, "pumped fidelity vector and success probabilities", point)
+    add("--schedule", required=True, help="n1,n2 (single) or n1,m1,m2 (double)")
 
-    p = sub.add_parser("pump", help="pumped fidelity vector and success probabilities")
-    common(p)
-    p.add_argument("--schedule", required=True, help="n1,n2 (single) or n1,m1,m2 (double)")
-    p.set_defaults(func=_cmd_pump)
+    add = command("ttg", _cmd_ttg, "teleported-gate output error table", point)
+    add("--kind", required=True, choices=[k.value for k in GateKind])
+    add("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
+    add("--schedule", default="1,2,2", help="pump schedule when --fbar not given")
 
-    p = sub.add_parser("ttg", help="teleported-gate output error table")
-    common(p)
-    p.add_argument("--kind", required=True, choices=[k.value for k in GateKind])
-    p.add_argument("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
-    p.add_argument("--schedule", default="1,2,2", action=_Given,
-                   help="pump schedule when --fbar not given")
-    p.set_defaults(func=_cmd_ttg)
+    add = command("qvalues", _cmd_qvalues,
+                  "topological error-model rates and condition check", point)
+    add("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
+    add("--schedule", default="1,2,2", help="pump schedule when --fbar not given")
+    add("--margin", type=float, default=1.0)
 
-    p = sub.add_parser("qvalues", help="topological error-model rates and condition check")
-    common(p)
-    p.add_argument("--fbar", default=None, help="explicit purified vector f0,f1,f2,f3")
-    p.add_argument("--schedule", default="1,2,2", action=_Given,
-                   help="pump schedule when --fbar not given")
-    p.add_argument("--margin", type=float, default=1.0)
-    p.set_defaults(func=_cmd_qvalues)
+    add = command("threshold-curve", _cmd_threshold_curve,
+                  "threshold gate error over a fidelity grid", ("--pM",))
+    add("--schedule", required=True)
+    add("--grid", required=True, help="F grid start:stop:count")
+    add("--margin", type=float, default=1.0)
 
-    p = sub.add_parser("threshold-curve", help="threshold gate error over a fidelity grid")
-    common(p, pump_inputs=False)
-    pm_option(p)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--grid", required=True, help="F grid start:stop:count")
-    p.add_argument("--margin", type=float, default=1.0)
-    p.set_defaults(func=_cmd_threshold_curve)
+    add = command("infidelity-contour", _cmd_infidelity_contour,
+                  "fixed-infidelity loci in the (F, p) plane", ())
+    add("--schedule", default=[], required=True, help="repeatable: n1,n2 or n1,m1,m2")
+    add("--level", type=float, default=1e-3)
+    add("--grid", required=True, help="F grid start:stop:count")
 
-    p = sub.add_parser("infidelity-contour", help="fixed-infidelity loci in the (F, p) plane")
-    common(p, pump_inputs=False)
-    p.add_argument("--schedule", action="append", required=True,
-                   help="repeatable: n1,n2 or n1,m1,m2")
-    p.add_argument("--level", type=float, default=1e-3)
-    p.add_argument("--grid", required=True, help="F grid start:stop:count")
-    p.set_defaults(func=_cmd_infidelity_contour)
-
-    p = sub.add_parser("resource", help="expected cost per delivered pair and overheads")
-    common(p)
-    p.add_argument("--schedule", required=True)
-    p.add_argument("--count-local-ops", action="store_true",
-                   help="count gates and measurements in addition to base pairs")
-    p.add_argument("--mc-trials", type=int, default=0, action=_Given,
-                   help="cross-check K with this many Monte Carlo trials")
-    p.add_argument("--n-bits", type=int, default=0, action=_Given,
-                   help="factoring size for overhead totals")
-    p.add_argument("--T-per-gate", type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD,
-                   action=_Given)
-    p.add_argument("--seed", type=int, default=0, action=_Given,
-                   help="seed for the Monte Carlo cross-check")
-    p.add_argument("--levels", default=None, help="emit K contours at these levels (CSV)")
-    p.add_argument("--grid", default=None, help="F grid start:stop:count for contours")
-    p.set_defaults(func=_cmd_resource)
+    add = command("resource", _cmd_resource,
+                  "expected cost per delivered pair and overheads", point)
+    add("--schedule", required=True)
+    add("--count-local-ops", nargs=0, const=True, default=False,
+        help="count gates and measurements in addition to base pairs")
+    add("--mc-trials", type=int, default=0,
+        help="cross-check K with this many Monte Carlo trials")
+    add("--n-bits", type=int, default=0, help="factoring size for overhead totals")
+    add("--T-per-gate", type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD)
+    add("--seed", type=int, default=0, help="seed for the Monte Carlo cross-check")
+    add("--levels", default=None, help="emit K contours at these levels (CSV)")
+    add("--grid", default=None, help="F grid start:stop:count for contours")
 
     p = sub.add_parser("verify", help="run the oracle-equivalence suites")
     p.add_argument("--seed", type=int, default=0)
@@ -434,10 +423,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, _Args())
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for bad arguments
         return 0 if not exc.code else 1
+    args.reads = set()  # record reads from here on, so argparse's own never count
     try:
         return args.func(args)
     except (ValueError, SuccessProbabilityError) as exc:

@@ -78,6 +78,9 @@ from .pauli import (
 Z_CHECK_ACCEPT = np.array([1, 0, 0, 1], dtype=bool)  # {I, Z}
 X_CHECK_ACCEPT = np.array([1, 1, 0, 0], dtype=bool)  # {I, X}
 
+#: most purification rounds a schedule may run per lane, sum(counts)
+MAX_ROUNDS = 10_000
+
 _H = HAD_TABLE
 
 
@@ -109,6 +112,8 @@ class PumpSchedule:
             )
         if any(c < 0 or int(c) != c for c in self.counts):
             raise ValueError(f"repetition counts must be non-negative integers: {self.counts}")
+        if sum(self.counts) > MAX_ROUNDS:
+            raise ValueError(f"schedule {self.counts} exceeds MAX_ROUNDS = {MAX_ROUNDS} rounds")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     @classmethod

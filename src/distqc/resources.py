@@ -173,7 +173,7 @@ def contour_expected_cost(
     model = model or CostModel()
     levels = list(levels)
     for level in levels:
-        if level <= 0:
+        if not level > 0:
             raise ValueError(f"contour level must be positive, got {level}")
     F_grid = list(F_grid)
     n = len(F_grid)
@@ -201,15 +201,20 @@ def shor_gate_count(n_bits: int) -> ShorCount:
     """Gate counts for factoring an n-bit number: 40 n^3 Toffoli gates, each
     built from seven pi/8 gates plus Clifford overhead, 300 n^3 pi/8 gates
     in total."""
-    if n_bits < 2:
+    if not n_bits >= 2:
         raise ValueError(f"n_bits must be at least 2, got {n_bits}")
-    n3 = float(n_bits) ** 3
+    try:
+        n3 = float(n_bits) ** 3
+    except OverflowError:
+        n3 = math.inf
+    if not math.isfinite(300.0 * n3):
+        raise ValueError("n_bits is too large: the pi/8 gate count overflows a float")
     return ShorCount(toffoli=40.0 * n3, pi8=300.0 * n3)
 
 
 def total_overhead(K: float, T_per_gate: float, Omega: float) -> OverheadReport:
     """Total operational overhead R = K * T with T = T_per_gate * Omega."""
-    if K <= 0 or T_per_gate <= 0 or Omega <= 0:
-        raise ValueError("K, T_per_gate and Omega must be positive")
     T = T_per_gate * Omega
+    if not (K > 0 and T_per_gate > 0 and Omega > 0 and math.isfinite(K * T)):
+        raise ValueError("K, T_per_gate and Omega must be positive, with a finite R = K * T")
     return OverheadReport(K=K, T=T, Omega=Omega, R=K * T)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from distqc.cli import main
+from distqc.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -281,3 +281,97 @@ def test_underflow_reports_only_the_error(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: level-2 single pumping: success probability underflowed to 0\n"
+
+
+def test_schedule_beyond_the_round_cap_is_refused(capsys):
+    start = time.perf_counter()
+    code = main(["pump", "--F", "0.999", "--pg", "1e-6", "--schedule", "1,300000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "MAX_ROUNDS = 10000" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("n_bits, T_per_gate", [("1024", "nan"), ("1" + "0" * 100, "2e10"),
+                                                ("1" + "0" * 400, "2e10")],
+                         ids=["nan T-per-gate", "101-digit n-bits", "401-digit n-bits"])
+def test_json_holds_no_non_finite_number(capsys, n_bits, T_per_gate):
+    # NaN and Infinity are not JSON; a huge --n-bits overflows T or the gate count
+    code = main(["resource", "--schedule", "1,2,2", "--n-bits", n_bits,
+                 "--T-per-gate", T_per_gate])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def _subcommand_options() -> dict:
+    """Each subcommand's options, as build_parser() defines them."""
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    return {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
+            for name, p in sub.choices.items()}
+
+
+_POINT = ["--F", "0.9", "--pg", "1e-3", "--pM", "equal"]
+_MEMORY = ["--eta", "1e-4", "--l-wait", "2"]
+_FBAR = ["--fbar", "0.97,0.01,0.01,0.01", "--pg", "1e-3", "--pM", "equal", *_MEMORY]
+_RESOURCE = ["resource", *_POINT, *_MEMORY, "--schedule", "1,2,2", "--count-local-ops"]
+
+# every mode of every numeric subcommand: the command line that selects it,
+# with every option the mode reads, and the options it does not read
+REFUSAL_MODES = [
+    (["pump", *_POINT, *_MEMORY, "--schedule", "1,2,2"], set()),
+    (["pump", *_POINT, "--schedule", "1,2,2"], {"--l-wait"}),
+    (["ttg", "--kind", "II", *_POINT, *_MEMORY, "--schedule", "1,2,2"], set()),
+    (["ttg", "--kind", "II", *_FBAR], {"--F", "--schedule"}),
+    (["qvalues", *_POINT, *_MEMORY, "--schedule", "1,2,2", "--margin", "0.9"], set()),
+    (["qvalues", *_FBAR, "--margin", "0.9"], {"--F", "--schedule"}),
+    (["threshold-curve", "--pM", "equal", "--schedule", "1,2,2", "--grid", "0.9:1.0:2",
+      "--margin", "0.9"], set()),
+    (["infidelity-contour", "--schedule", "1,2,2", "--schedule", "3,4", "--level", "1e-3",
+      "--grid", "0.9:0.95:2"], set()),
+    (_RESOURCE, {"--seed", "--T-per-gate", "--grid"}),
+    (["resource", *_POINT, "--schedule", "1,2,2"], {"--l-wait"}),
+    ([*_RESOURCE, "--mc-trials", "1000", "--seed", "3"], {"--T-per-gate", "--grid"}),
+    ([*_RESOURCE, "--n-bits", "1024", "--T-per-gate", "5"], {"--seed", "--grid"}),
+    (["resource", "--schedule", "1,2,2", "--count-local-ops", "--levels", "30",
+      "--grid", "0.9:0.95:2"],
+     {"--F", "--pg", "--pM", "--eta", "--l-wait", "--mc-trials", "--n-bits", "--T-per-gate",
+      "--seed"}),
+]
+_UNREAD_VALUE = {"--F": "0.5", "--pg": "2e-3", "--pM": "equal", "--eta": "1e-4",
+                 "--l-wait": "3", "--schedule": "9,9", "--mc-trials": "100",
+                 "--n-bits": "1024", "--T-per-gate": "5", "--seed": "3",
+                 "--grid": "0.8:0.9:3"}
+
+
+def test_refusal_modes_classify_every_option():
+    # a new option fails here until some mode of its subcommand reads it or
+    # lists it as unread
+    classified = {}
+    for argv, unread in REFUSAL_MODES:
+        given = {a for a in argv if a.startswith("--")}
+        assert not given & unread
+        classified.setdefault(argv[0], {"--out"}).update(given | unread)
+    options = _subcommand_options()
+    del options["verify"]
+    assert classified == options
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in REFUSAL_MODES], ids=" ".join)
+def test_every_option_a_mode_reads_is_accepted(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    code = main([*argv, "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("argv, option", [
+    (argv, option) for argv, unread in REFUSAL_MODES for option in sorted(unread)
+], ids=lambda x: x if isinstance(x, str) else " ".join(x))
+def test_every_option_a_mode_does_not_read_is_refused(tmp_path, capsys, argv, option):
+    out = tmp_path / "out"
+    code = main([*argv, option, _UNREAD_VALUE[option], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: ") and option in captured.err

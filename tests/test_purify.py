@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import (
+    MAX_ROUNDS,
     OpsTally,
     PumpSchedule,
     SuccessProbabilityError,
@@ -337,6 +338,15 @@ def test_pump_schedule_parsing():
         PumpSchedule.single(-1, 2)
     with pytest.raises(ValueError):
         PumpSchedule("triple", (1, 2, 3))
+
+
+def test_schedule_rounds_are_capped():
+    # the interpreter runs sum(counts) rounds per lane, so the total is capped
+    assert sum(PumpSchedule.double(0, 0, MAX_ROUNDS).counts) == MAX_ROUNDS
+    with pytest.raises(ValueError, match="MAX_ROUNDS"):
+        PumpSchedule.single(1, MAX_ROUNDS)
+    with pytest.raises(ValueError, match="MAX_ROUNDS"):
+        PumpSchedule.parse("1,300000")
 
 
 def test_pump_scheme_mismatch_rejected():

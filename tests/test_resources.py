@@ -149,6 +149,8 @@ def test_contour_empty_grid():
 def test_contour_rejects_bad_level():
     with pytest.raises(ValueError):
         contour_expected_cost(SCHED_122, [-5.0], [0.9])
+    with pytest.raises(ValueError):
+        contour_expected_cost(SCHED_122, [float("nan")], [0.9])
 
 
 def test_shor_gate_count():
@@ -160,6 +162,10 @@ def test_shor_gate_count():
     assert small.pi8 == 2400
     with pytest.raises(ValueError):
         shor_gate_count(1)
+    # non-finite sizes, and sizes whose pi/8 count overflows a float
+    for n_bits in (float("nan"), float("inf"), 10**103, 10**400):
+        with pytest.raises(ValueError):
+            shor_gate_count(n_bits)
 
 
 def test_total_overhead():
@@ -169,6 +175,11 @@ def test_total_overhead():
     assert total_overhead(1.0, 1.0, 1.0).R == 1.0
     with pytest.raises(ValueError):
         total_overhead(0.0, 1.0, 1.0)
+    # non-finite inputs, and a T or R that overflows a float
+    for args in ((float("nan"), 1.0, 1.0), (40.0, float("nan"), 3e11),
+                 (40.0, float("inf"), 3e11), (40.0, 2e10, 3e302), (1e300, 1e10, 1e10)):
+        with pytest.raises(ValueError):
+            total_overhead(*args)
 
 
 def test_overhead_from_expected_cost_band():
