@@ -76,9 +76,9 @@ def as_fidelity_vector(values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (4,):
         raise ValueError(f"fidelity vector must have 4 entries, got shape {f.shape}")
-    if np.any(f < -ATOL) or np.any(f > 1 + ATOL):
+    if not (np.all(f >= -ATOL) and np.all(f <= 1 + ATOL)):
         raise ValueError(f"fidelity vector entries outside [0, 1]: {f}")
-    if abs(f.sum() - 1.0) > ATOL:
+    if not abs(f.sum() - 1.0) <= ATOL:
         raise ValueError(f"fidelity vector must sum to 1, got {f.sum()!r}")
     return f
 
@@ -120,9 +120,9 @@ class NoiseParams:
         table = np.asarray(self.p_table, dtype=float)
         if table.shape != (4, 4):
             raise ValueError(f"p_table must be 4x4, got shape {table.shape}")
-        if np.any(table < -ATOL):
+        if not np.all(table >= -ATOL):
             raise ValueError("p_table entries must be non-negative")
-        if abs(table.sum() - 1.0) > ATOL:
+        if not abs(table.sum() - 1.0) <= ATOL:
             raise ValueError(f"p_table must sum to 1, got {table.sum()!r}")
         object.__setattr__(self, "p_table", table)
         if not 0.0 <= self.p_M < 1.0:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .pauli import ChannelParams, NoiseParams
 from .purify import Lanes, OpsTally, PumpResult, PumpSchedule, SuccessProbabilityError, pump
-from .threshold import level_crossing, pump_at
+from .threshold import contours
 
 #: physical two-qubit gates consumed by one logical pi/8 gate at one third of
 #: the topological threshold, read from the overhead scaling of the
@@ -175,26 +175,7 @@ def contour_expected_cost(
     for level in levels:
         if not level > 0:
             raise ValueError(f"contour level must be positive, got {level}")
-    F_grid = list(F_grid)
-    n = len(F_grid)
-    if not levels:
-        return []
-    # lane k searches level k // n at fidelity k % n
-    f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
-
-    def cost(lanes, p):
-        pumped = pump_at(schedule, f_ini[lanes % n], p)
-        ok = pumped.failed < 0
-        if model.restart == "protocol":
-            ok &= pumped.p_net > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(ok, _cost(pumped, model), math.inf)
-
-    found = level_crossing(cost, np.repeat(levels, n))
-    return [
-        [(float(F), p) for F, p in zip(F_grid, found[k * n:(k + 1) * n]) if p is not None]
-        for k in range(len(levels))
-    ]
+    return contours(schedule, levels, F_grid, lambda lanes: _cost(lanes, model))
 
 
 def shor_gate_count(n_bits: int) -> ShorCount:

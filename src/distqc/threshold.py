@@ -9,19 +9,18 @@ by constants calibrated against a minimum-weight-matching threshold study.
 
 ``threshold_pg`` runs the full pipeline (entanglement pumping, gate error
 aggregates, condition check) and bisects for the largest tolerable local gate
-error; ``threshold_curve`` and ``contour_infidelity`` trace the resulting
-landscapes over the channel fidelity.
+error; ``threshold_curve`` traces it over the channel fidelity and
+``contours`` traces loci of a fixed pumped value, such as the infidelity.
 
 A landscape is evaluated as one search over lane arrays: every grid
-fidelity is a lane holding its own bracket, and each step pumps the local
-error rates of all live lanes in one batch (:func:`distqc.purify.pump_lanes`),
-building round tensors once per distinct rate.  ``threshold_curve`` pumps
-the 24-point scan of every fidelity in one pass and then bisects every
-bracket together; ``level_crossing`` does the same for the doubling and
-bisection of the contours.  Every lane's arithmetic is that of its search
-run alone, so each point is bitwise the point a search of that fidelity
-alone finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane
-calls.
+fidelity (of a contour: every level and fidelity) is a lane holding its own
+bracket, and each step pumps the local error rates of all live lanes
+(:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
+rate in a batch.  ``threshold_curve`` pumps the 24-point scan of every
+fidelity in one pass and then bisects every bracket together;
+``level_crossing`` does the same for the doubling and bisection of the
+contours.  Each point is bitwise the point a search of that fidelity alone
+finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -52,25 +51,28 @@ class QTuple:
         return np.maximum(np.maximum(self.qab, self.qac), self.qbb)
 
 
+#: sufficient fault-tolerance bounds, strict, on qa, on each of qb and qc and on
+#: the largest correlated rate
+QA_MAX, QBC_MAX, QCOR_MAX = 0.023, 0.022, 0.0040
+#: correlated-rate budget of the published resource-analysis operating points
+QCOR_BUDGET = 0.040
+
+
 @dataclass(frozen=True)
 class ThresholdConditions:
     """Sufficient fault-tolerance bounds with an operating margin.
 
-    At margin 1 the full four-class sufficient conditions apply (qa_max,
-    qbc_max twice, qcor_max), all strict.  A fractional margin reproduces the
+    At margin 1 the full four-class sufficient conditions apply (QA_MAX,
+    QBC_MAX twice, QCOR_MAX), all strict.  A fractional margin reproduces the
     published resource-analysis operating points, which test the independent
-    error rate (the syndrome-class rate qa) against margin*qa_max and the
-    correlated rate against margin*qcor_budget; the correlated budget quoted
+    error rate (the syndrome-class rate qa) against margin*QA_MAX and the
+    correlated rate against margin*QCOR_BUDGET; the correlated budget quoted
     there (0.040) is an order of magnitude looser than the strict threshold
     bound, and scaling the strict 0.0040 by the margin instead would exclude
     every published operating point since qcor = (8/15)p_g + p_M alone
     already exceeds 0.0040/3 at p_g = p_M = 1e-3.
     """
 
-    qa_max: float = 0.023
-    qbc_max: float = 0.022
-    qcor_max: float = 0.0040
-    qcor_budget: float = 0.040
     margin: float = 1.0
 
     def __post_init__(self):
@@ -161,13 +163,8 @@ def fault_tolerant(q: QTuple, cond: ThresholdConditions):
     """
     m = cond.margin
     if m == 1.0:
-        return (
-            (q.qa < cond.qa_max)
-            & (q.qb < cond.qbc_max)
-            & (q.qc < cond.qbc_max)
-            & (q.q_correlated < cond.qcor_max)
-        )
-    return (q.qa < m * cond.qa_max) & (q.q_correlated < m * cond.qcor_budget)
+        return (q.qa < QA_MAX) & (q.qb < QBC_MAX) & (q.qc < QBC_MAX) & (q.q_correlated < QCOR_MAX)
+    return (q.qa < m * QA_MAX) & (q.q_correlated < m * QCOR_BUDGET)
 
 
 def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
@@ -192,22 +189,34 @@ def p_M_of(p_M_rule, p_g: float) -> float:
     return p_M
 
 
-def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule="equal") -> Lanes:
-    """Pump lane b from the channel vector ``f_ini[b]`` at the local gate
-    error ``p_g[b]`` and the measurement error its p_M rule gives.  Lanes
-    that share a gate error share one noise point and one map build."""
-    points, index = np.unique(p_g, return_inverse=True)
-    noises = [depolarizing_noise(p, p_M_of(p_M_rule, p)) for p in points]
-    return pump_lanes(schedule, f_ini, noises, index)
+#: most lanes pumped in one pass; larger batches are pumped block by block
+LANE_BLOCK = 1024
+
+
+def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equal") -> np.ndarray:
+    """Pump lane b from ``f_ini[b]`` at the gate error ``p_g[b]`` (p_M by its
+    rule), LANE_BLOCK lanes at a time, and return ``read(lanes, p)`` of each
+    block's :class:`Lanes` and gate errors ``p``: one value per lane.  Lanes
+    of a block that share a gate error share one map build."""
+    reads = []
+    for b in range(0, len(p_g), LANE_BLOCK):
+        p = p_g[b:b + LANE_BLOCK]
+        points, index = np.unique(p, return_inverse=True)
+        noises = [depolarizing_noise(x, p_M_of(p_M_rule, x)) for x in points]
+        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], noises, index), p))
+    return np.concatenate(reads)
 
 
 def _passes(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule, cond: ThresholdConditions):
     """Pipeline verdict of every lane (see :func:`pump_at`): pump, evaluate
     the error-class rates and check the conditions.  A lane whose pumping
     underflows fails."""
-    lanes = pump_at(schedule, f_ini, p_g, p_M_rule)
-    q = q_values(lanes.f_out, p_g, p_M_of(p_M_rule, p_g))
-    return (lanes.failed < 0) & fault_tolerant(q, cond)
+
+    def verdict(lanes: Lanes, p):
+        q = q_values(lanes.f_out, p, p_M_of(p_M_rule, p))
+        return (lanes.failed < 0) & fault_tolerant(q, cond)
+
+    return pump_at(schedule, f_ini, p_g, verdict, p_M_rule)
 
 
 def pipeline_passes(
@@ -315,6 +324,25 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
 )
 
 
+def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[float, float]]]:
+    """Per level, the (F, p) points where ``read(lanes)``, a per-lane value of a
+    :class:`Lanes` batch that grows with p_g = p_M, reaches it (inf where the
+    pumping underflowed): one :func:`level_crossing` over every (level, F)
+    lane, with the points not reached in (0, P_MAX] omitted."""
+    F_grid = list(F_grid)
+    n = len(F_grid)
+    f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
+
+    @np.errstate(divide="ignore", invalid="ignore")
+    def guarded(lanes: Lanes, _):
+        return np.where(lanes.failed < 0, read(lanes), math.inf)
+
+    # lane k searches level k // n at fidelity k % n
+    found = level_crossing(lambda k, p: pump_at(schedule, f_ini[k % n], p, guarded), np.repeat(levels, n))
+    return [[(float(F), p) for F, p in zip(F_grid, found[k * n:]) if p is not None]
+            for k in range(len(levels))]
+
+
 def contour_infidelity(schedules, level: float, F_grid) -> list[list[tuple[float, float]]]:
     """Loci of fixed pumped-pair infidelity in the (F, p_g = p_M) plane.
 
@@ -326,17 +354,7 @@ def contour_infidelity(schedules, level: float, F_grid) -> list[list[tuple[float
     if not 0.0 < level <= 1.0:
         raise ValueError(f"contour level must lie in (0, 1], got {level}")
     F_grid = list(F_grid)
-    curves = []
-    for schedule in schedules:
-        f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
-
-        def infidelity(lanes, p):
-            pumped = pump_at(schedule, f_ini[lanes], p)
-            return np.where(pumped.failed < 0, 1.0 - pumped.f_out[:, 0], math.inf)
-
-        found = level_crossing(infidelity, [level] * len(F_grid))
-        curves.append([(float(F), p) for F, p in zip(F_grid, found) if p is not None])
-    return curves
+    return [contours(s, [level], F_grid, lambda lanes: 1.0 - lanes.f_out[:, 0])[0] for s in schedules]
 
 
 def level_crossing(value, levels) -> list[float | None]:

@@ -196,6 +196,27 @@ K,F,p_g
 400,0.95199999999999996,0.001854296875
 400,0.98999999999999999,0.0123384375
 """,
+    # both schedules omit points whose level is reached already at p = 0
+    ("infidelity-contour", "--schedule", "2,4", "--schedule", "3,4,14",
+     "--level", "1e-3", "--grid", "0.7:0.98:5"): """\
+# distqc 0.1.0 infidelity-contour level=0.001 grid=0.7:0.98:5
+schedule,F,p_g
+"2,4",0.90999999999999992,7.760498046875001e-05
+"2,4",0.97999999999999998,0.00032541992187499997
+"3,4,14",0.77000000000000002,0.00020299804687500005
+"3,4,14",0.83999999999999997,0.00072564453125000016
+"3,4,14",0.90999999999999992,0.0011516796874999999
+"3,4,14",0.97999999999999998,0.0016619531250000002
+""",
+    # the local-operation cost model: levels 12 and 40, and 2000 at F = 0.75,
+    # are reached already at p = 0; F = 0.99 does not reach 2000 by P_MAX
+    ("resource", "--schedule", "2,4", "--levels", "12,40,2000", "--grid", "0.75:0.99:4",
+     "--count-local-ops"): """\
+# distqc 0.1.0 resource levels=12,40,2000 grid=0.75:0.99:4
+K,F,p_g
+2000,0.82999999999999996,0.012725625000000001
+2000,0.91000000000000003,0.04035625000000001
+""",
 }
 
 
@@ -303,6 +324,15 @@ def test_json_holds_no_non_finite_number(capsys, n_bits, T_per_gate):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("qvalues", "--fbar", "nan,0,0,0", "--pg", "1e-3"),
+                                  ("ttg", "--kind", "II", "--fbar", "nan,0,0,0")])
+def test_nan_fidelity_vector_is_refused_with_a_reason(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: fidelity vector entries outside [0, 1]: ")
 
 
 def _subcommand_options() -> dict:

@@ -107,6 +107,10 @@ def test_noise_params_validation():
         NoiseParams(p_table=table, p_M=1.0)
     with pytest.raises(ValueError):
         NoiseParams(p_table=np.eye(4), p_M=0.0)  # does not sum to 1
+    nan_table = table.copy()
+    nan_table[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        NoiseParams(p_table=nan_table, p_M=0.1)
 
 
 def test_channel_params():
@@ -127,3 +131,7 @@ def test_as_fidelity_vector_validation():
         as_fidelity_vector([0.9, 0.1, 0.1, -0.1])
     with pytest.raises(ValueError):
         as_fidelity_vector([0.9, 0.2, 0.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        as_fidelity_vector([np.nan, 0.0, 0.0, 0.0])  # NaN fails every comparison
+    with pytest.raises(ValueError, match="outside"):
+        as_fidelity_vector([1.0, np.nan, 0.0, 0.0])

@@ -146,6 +146,15 @@ def test_contour_empty_grid():
     assert contour_expected_cost(SCHED_122, [30.0], []) == [[]]
 
 
+@pytest.mark.parametrize("model", [CostModel(), CostModel(count_local_ops=True),
+                                   CostModel(restart="round")], ids=repr)
+def test_contour_omits_points_whose_net_success_underflows(model):
+    # p_net underflows to 0.0 with no stage failing: K is inf under the
+    # protocol restart and huge under round retry, so no level is crossed
+    schedule = PumpSchedule.single(100, 1000)
+    assert contour_expected_cost(schedule, [1e5, 1e300], [0.6, 0.9, 0.99], model) == [[], []]
+
+
 def test_contour_rejects_bad_level():
     with pytest.raises(ValueError):
         contour_expected_cost(SCHED_122, [-5.0], [0.9])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distqc import threshold
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import PumpSchedule, pump
 from distqc.resources import CostModel, contour_expected_cost
@@ -317,3 +318,24 @@ def test_infidelity_contour_equals_pointwise_contours(schedules, level, grid):
     assert curves == [
         [pt for F in grid for pt in contour_infidelity([s], level, [F])[0]] for s in schedules
     ]
+
+
+def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
+    # every sweep pumps its lanes in blocks of at most LANE_BLOCK, and the
+    # block size changes no point
+    grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
+    levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
+    curve = threshold_curve(SCHED_122, grid)
+    cost = contour_expected_cost(SCHED_122, levels, cost_grid, model)
+    batches = []
+    pump_lanes = threshold.pump_lanes
+
+    def recorded(schedule, f_ini, noises, index):
+        batches.append(len(f_ini))
+        return pump_lanes(schedule, f_ini, noises, index)
+
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
+    monkeypatch.setattr(threshold, "pump_lanes", recorded)
+    assert threshold_curve(SCHED_122, grid) == curve
+    assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
+    assert max(batches) == 7
