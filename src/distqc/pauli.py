@@ -120,7 +120,7 @@ class NoiseParams:
         table = np.asarray(self.p_table, dtype=float)
         if table.shape != (4, 4):
             raise ValueError(f"p_table must be 4x4, got shape {table.shape}")
-        if not np.all(table >= -ATOL):
+        if not table.min() >= -ATOL:
             raise ValueError("p_table entries must be non-negative")
         if not abs(table.sum() - 1.0) <= ATOL:
             raise ValueError(f"p_table must sum to 1, got {table.sum()!r}")

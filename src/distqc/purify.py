@@ -46,9 +46,12 @@ The interpreter works on lanes: every array carries a leading lane axis,
 and each lane is an independent pumping run with its own channel vector and
 round tensors.  :func:`pump_lanes` pumps a batch of lanes in one pass and
 builds the round tensors once per distinct noise point; :func:`pump` is the
-one-lane call.  A lane's result is bitwise the result of pumping it alone,
-and a lane whose success probability underflows is flagged without
-touching the others.
+one-lane call.  Each round is one einsum over all lanes; the rounds are
+summed ROUND_BLOCK at a time, and the rest of the bookkeeping (conditionals,
+stage probabilities, failures) is done once per stage.  A lane's result is
+bitwise the result of pumping it alone; a lane whose success probability
+underflows is flagged without touching the others, and holds NaN from there
+on.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ X_CHECK_ACCEPT = np.array([1, 1, 0, 0], dtype=bool)  # {I, X}
 
 #: most purification rounds a schedule may run per lane, sum(counts)
 MAX_ROUNDS = 10_000
+#: rounds the interpreter keeps in memory before summing them (2 MB at 1024 lanes)
+ROUND_BLOCK = 64
 
 _H = HAD_TABLE
 
@@ -185,10 +190,10 @@ def _meas_weights(p_M: float) -> tuple[float, float]:
 # A bilateral CNOT applies two physical gates, one per side, each followed by
 # a draw (u, v) from the gate error table; the far side's labels fold through
 # the X<->Z swap, so the draws (uA, vA), (uB, vB) add the net labels
-# (uA*H(uB), vA*H(vB)) to the (control, target) pair.
+# (uA*H(uB), vA*H(vB)) to the (control, target) pair; _LEG holds the flat
+# index 4*c + t of the net labels of each draw.
 _UA, _VA, _UB, _VB = np.ix_(*[np.arange(4)] * 4)
-_LEG_C = np.broadcast_to(MUL_TABLE[_UA, _H[_UB]], (4,) * 4).ravel()
-_LEG_T = np.broadcast_to(MUL_TABLE[_VA, _H[_VB]], (4,) * 4).ravel()
+_LEG = (4 * MUL_TABLE[_UA, _H[_UB]] + MUL_TABLE[_VA, _H[_VB]]).ravel()
 # An input pair (i, j) conjugates to cnot_propagate(i, j) = (a0, b0), and the
 # net labels (n1, n2) map it to (a0*n1, b0*n2), so the branch reaching
 # (a, b) carries the weight of the net labels (a0*a, b0*b): T[i, j, a, b]
@@ -214,8 +219,8 @@ def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> d
     """
     n = len(p_M)
     w = p_tables[:, _UA, _VA] * p_tables[:, _UB, _VB]
-    leg = np.zeros((n, 4, 4))
-    np.add.at(leg, (np.arange(n)[:, None], _LEG_C, _LEG_T), w.reshape(n, -1))
+    # the 256 draws of each point summed in order onto their net labels
+    leg = np.bincount((16 * np.arange(n)[:, None] + _LEG).ravel(), w.ravel(), 16 * n)
     # T[n, i, j, a, b]: probability the (control, target) labels (i, j) become
     # (a, b) under a noisy bilateral CNOT
     T = leg.reshape(n, 16).take(_T_LEG, axis=1)
@@ -373,7 +378,8 @@ class Lanes:
     ``conditionals[s][r, b]`` the conditional success probability of round r
     of stage s.  ``failed[b]`` is the index of the first stage whose success
     probability underflowed to 0 in lane b, or -1; the other entries of such
-    a lane are meaningless.
+    a lane are meaningless, and NaN from that stage on.  Each round ran as
+    one einsum over all lanes; the rest of the bookkeeping ran once per stage.
     """
 
     f_out: np.ndarray
@@ -402,14 +408,19 @@ class Lanes:
         )
 
 
+@np.errstate(divide="ignore", invalid="ignore")
 def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndarray]) -> Lanes:
     """Run a stage program on every lane: lane b starts its fresh pairs from
-    ``f_ini[b]`` and uses the round tensors ``maps[name][b]``."""
+    ``f_ini[b]`` and uses the round tensors ``maps[name][b]``.  Each round is
+    one einsum into a ring of ROUND_BLOCK (B, 4) buffers; each pass round the
+    ring is summed at once, and the round sums give the stage's
+    conditionals, probability and failures."""
     n = len(f_ini)
     outputs = {}
     probs = []
     conditionals = []
     failed = np.full(n, -1)
+    ring = np.empty((ROUND_BLOCK, n, 4))
     for s, stage in enumerate(program.stages):
         tensor = maps[stage.tensor]
         spec = _ROUND_SPEC[len(stage.ancillas)]
@@ -418,20 +429,18 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
             for src, rotated in stage.ancillas
         ]
         f = f_ini if stage.start is None else outputs[stage.start]
-        before = np.ones(n)  # start vectors are normalised
-        cond = []
-        for _ in range(stage.rounds):
-            f = np.einsum(spec, tensor, f, *ancillas)
-            after = f.sum(axis=1)
-            under = after <= 0.0
-            if under.any():
-                failed[under & (failed < 0)] = s
-                after[under] = before[under]  # keeps cond finite; no other lane reads it
-            cond.append(after / before)
-            before = after
-        outputs[stage.name] = f / before[:, None] if stage.rounds else f
-        probs.append(before)
-        conditionals.append(np.array(cond).reshape(stage.rounds, n))
+        # start vectors are normalised; a lane whose sum reaches 0 keeps it,
+        # and its later entries are NaN
+        sums = np.ones((stage.rounds + 1, n))
+        for r in range(stage.rounds):
+            k = r % ROUND_BLOCK
+            f = np.einsum(spec, tensor, f, *ancillas, out=ring[k])
+            if k == ROUND_BLOCK - 1 or r == stage.rounds - 1:
+                ring[:k + 1].sum(axis=2, out=sums[r - k + 1:r + 2])
+        failed[(failed < 0) & (sums <= 0.0).any(axis=0)] = s
+        outputs[stage.name] = f / sums[-1][:, None]
+        probs.append(sums[-1])
+        conditionals.append(sums[1:] / sums[:-1])
     # Python's float power, lane by lane (see _build_maps)
     p_net = np.ones(n)
     for p, m in zip(probs, program.multiplicity):

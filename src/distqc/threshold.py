@@ -17,7 +17,7 @@ fidelity (of a contour: every level and fidelity) is a lane holding its own
 bracket, and each step pumps the local error rates of all live lanes
 (:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
 rate in a batch.  ``threshold_curve`` pumps the 24-point scan of every
-fidelity in one pass and then bisects every bracket together;
+fidelity in one pass, rate by rate, and then bisects every bracket together;
 ``level_crossing`` does the same for the doubling and bisection of the
 contours.  Each point is bitwise the point a search of that fidelity alone
 finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
@@ -248,9 +248,10 @@ def _thresholds(f_ini: np.ndarray, schedule: PumpSchedule, p_M_rule, cond, rel_t
     if not n:
         return np.zeros(0)
     grid = np.geomspace(1e-6, P_MAX, 24)
+    # scan lanes rate by rate, so each block of pump_at builds few rates' maps
     flags = _passes(
-        schedule, np.repeat(f_ini, grid.size, axis=0), np.tile(grid, n), p_M_rule, cond
-    ).reshape(n, grid.size)
+        schedule, np.tile(f_ini, (grid.size, 1)), np.repeat(grid, n), p_M_rule, cond
+    ).reshape(grid.size, n).T
     found = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
     k = np.argmin(flags, axis=1)  # first failing scan point
     lo, hi = grid[k - 1], grid[k]

@@ -217,6 +217,79 @@ K,F,p_g
 2000,0.82999999999999996,0.012725625000000001
 2000,0.91000000000000003,0.04035625000000001
 """,
+    # point queries: every printed digit rests on the last bits of the
+    # pumping chain, where a sweep shows a flipped bit only if it flips a
+    # bisection decision
+    ("pump", "--F", "0.9", "--pg", "1e-3", "--schedule", "5,13"): """\
+{
+  "F": 0.9,
+  "attempt_base_pairs": 84,
+  "attempt_measurements": 166,
+  "attempt_twoq_gates": 166,
+  "f_bar": [
+    0.9896249771515938,
+    0.009535523789605082,
+    0.00041974918482606794,
+    0.0004197498739750367
+  ],
+  "infidelity": 0.01037502284840619,
+  "p_M": 0.001,
+  "p_g": 0.0010000000000000009,
+  "schedule": [
+    5,
+    13
+  ],
+  "scheme": "single",
+  "success_probs": {
+    "p_lv1": 0.6502593380833784,
+    "p_lv2": 0.05895236220346641
+  },
+  "version": "0.1.0"
+}
+""",
+    ("pump", "--F", "0.85", "--pg", "2e-3", "--pM", "four_fifteenths", "--schedule", "3,4,14"): """\
+{
+  "F": 0.85,
+  "attempt_base_pairs": 79,
+  "attempt_measurements": 156,
+  "attempt_twoq_gates": 156,
+  "f_bar": [
+    0.9974711614403818,
+    0.0012412229634169796,
+    0.0005425827624439055,
+    0.0007450328337572763
+  ],
+  "infidelity": 0.002528838559618163,
+  "p_M": 0.0005333333333333334,
+  "p_g": 0.0020000000000000018,
+  "schedule": [
+    3,
+    4,
+    14
+  ],
+  "scheme": "double",
+  "success_probs": {
+    "p_lv1": 0.6492863418795368,
+    "r_lv1": 0.22973230306783846,
+    "r_lv2": 0.005698395060392359
+  },
+  "version": "0.1.0"
+}
+""",
+    ("resource", "--F", "0.9", "--pg", "1e-3", "--schedule", "2,4,8", "--count-local-ops"): """\
+{
+  "F": 0.9,
+  "K": 16574.897987895078,
+  "p_M": 0.001,
+  "p_g": 0.0010000000000000009,
+  "schedule": [
+    2,
+    4,
+    8
+  ],
+  "version": "0.1.0"
+}
+""",
 }
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distqc import purify
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import (
     MAX_ROUNDS,
@@ -458,3 +459,15 @@ def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
         assert_same_result(lanes.result(b), alone.result(0))
         if b < len(points):
             assert_same_result(lanes.result(b), pump(ChannelParams(points[b][0]), schedule, noise))
+
+
+@pytest.mark.parametrize("ring", [2, 3])
+def test_round_block_does_not_change_a_bit(monkeypatch, ring):
+    # the interpreter sums its rounds one ring of ROUND_BLOCK buffers at a
+    # time; stages that wrap round a smaller ring give the same bits
+    channel, noise = ChannelParams(0.9), depolarizing_noise(1e-3, 1e-3)
+    schedules = [PumpSchedule.single(5, 13), PumpSchedule.double(3, 4, 14)]
+    whole = [pump(channel, schedule, noise) for schedule in schedules]
+    monkeypatch.setattr(purify, "ROUND_BLOCK", ring)
+    for schedule, expected in zip(schedules, whole):
+        assert_same_result(pump(channel, schedule, noise), expected)

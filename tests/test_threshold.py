@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distqc import threshold
+from distqc import purify, threshold
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc.purify import PumpSchedule, pump
 from distqc.resources import CostModel, contour_expected_cost
@@ -339,3 +339,22 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     assert threshold_curve(SCHED_122, grid) == curve
     assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
     assert max(batches) == 7
+
+
+def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
+    # the scan lanes are laid out rate by rate, so each block of LANE_BLOCK
+    # lanes builds the maps of one or two scan rates, not of every rate
+    grid = np.linspace(0.7, 1.0, 10)
+    curve = threshold_curve(SCHED_3414, grid)
+    scan = np.geomspace(1e-6, threshold.P_MAX, 24)
+    built = []
+    build_maps = purify._build_maps
+
+    def recorded(p_tables, p_M, double=True):
+        built.append(np.isin(p_M, scan).sum())  # p_M = p_g under the "equal" rule
+        return build_maps(p_tables, p_M, double)
+
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 20)
+    monkeypatch.setattr(purify, "_build_maps", recorded)
+    assert threshold_curve(SCHED_3414, grid) == curve
+    assert sum(built) == 24
