@@ -58,6 +58,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+#: most points a grid may hold (a (3,4,14) threshold curve this long: 64 s, 160 MB on 2 vCPUs)
+MAX_GRID = 100_000
+
+
 def _parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:count', inclusive on both ends."""
     parts = text.split(":")
@@ -67,6 +71,8 @@ def _parse_grid(text: str) -> list[float]:
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be at least 1, got {count}")
+    if count > MAX_GRID:
+        raise ValueError(f"grid count {count} exceeds MAX_GRID = {MAX_GRID} points")
     if count == 1:
         return [start]
     return [start + (stop - start) * i / (count - 1) for i in range(count)]

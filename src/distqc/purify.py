@@ -42,23 +42,23 @@ once per call on normalised inputs, since repeated instances of a stage
 are identical; within a stage the unnormalised label vector accumulates
 the joint success probability of its rounds.
 
-The interpreter works on lanes: every array carries a leading lane axis,
-and each lane is an independent pumping run with its own channel vector and
-round tensors.  :func:`pump_lanes` pumps a batch of lanes in one pass and
-builds the round tensors once per distinct noise point; :func:`pump` is the
-one-lane call.  Each round is one einsum over all lanes; the rounds are
-summed ROUND_BLOCK at a time, and the rest of the bookkeeping (conditionals,
-stage probabilities, failures) is done once per stage.  A lane's result is
-bitwise the result of pumping it alone; a lane whose success probability
-underflows is flagged without touching the others, and holds NaN from there
-on.
+The interpreter works on lanes, each an independent pumping run with its
+own channel vector and round tensors; every array carries the lane axis
+last, contiguous in memory.  :func:`pump_lanes` pumps a batch of lanes in
+one pass and builds the round tensors once per distinct noise point;
+:func:`pump` is the one-lane call.  Each round is one einsum whose inner
+loop runs along the lanes; the rounds are summed ROUND_BLOCK at a time, and
+the rest of the bookkeeping (conditionals, stage probabilities, failures) is
+done once per stage.  A lane's result is bitwise the result of pumping it
+alone; a lane whose success probability underflows is flagged without
+touching the others, and holds NaN from there on.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -205,51 +205,76 @@ _T_LEG = (
 _S_H = 16 * _H[:, None, None] + 4 * _H[None, :, None] + _H[None, None, :]
 
 
+def _double_terms() -> tuple[np.ndarray, np.ndarray]:
+    """D[i, j, k, l] is an einsum that adds, one by one in (b, d, c) order,
+    the terms ((T[i, j, H(l), b] * T[k, b, d, c]) * w_z[c]) * w_x[d], each
+    entry ((16 x + y) * 2 + z) * 2 + x' of a point's table of products
+    ((leg[x] * leg[y]) * w[z]) * w[x'], w = (flip, keep) indexed by the
+    check's verdict.  The 256 term lists hold 64 distinct ones: returns them
+    as columns, and the column of each flat entry of D."""
+    b, d, c, i, j, k, l = np.ix_(*[np.arange(4)] * 7)
+    leg = _T_LEG.astype(np.int16)
+    terms = ((16 * leg[i, j, _H[l], b] + leg[k, b, d, c]) * 2 + Z_CHECK_ACCEPT[c]) * 2
+    lists = np.ascontiguousarray((terms + X_CHECK_ACCEPT[d]).reshape(64, 256).T)
+    first = {}
+    index = [first.setdefault(t.tobytes(), len(first)) for t in lists]
+    return np.ascontiguousarray(lists[[index.index(s) for s in range(64)]].T, np.intp), np.array(index)
+
+
+_D_TERMS, _D_SUMS = _double_terms()
+#: points whose double-selection terms are gathered at once (128 KB of terms)
+_D_BLOCK = 4
+
+
 def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> dict[str, np.ndarray]:
     """Round tensors of B noise points: the single-selection tensor "S", its
     Hadamard-twisted form "S_H" and, if ``double`` is set, the
-    double-selection tensor "D", each with a leading axis over the points
+    double-selection tensor "D", each with a trailing axis over the points
     ``p_tables[B, 4, 4]``, ``p_M[B]``.
 
-    einsum's summation order follows the memory layout of its operands, so
-    every array keeps the point axis outermost in memory and, within a
-    point, one fixed layout (D with its output axis outermost): a point's
-    tensors, and every contraction of them, are then bitwise the same
-    whichever points are built or pumped beside it.
+    The point axis is last and contiguous, so that a round contracts all its
+    lanes in one pass.  Every entry is bitwise the einsum that defines it for
+    its point alone: S is that einsum, and D adds its terms in its order,
+    gathered from each point's table of distinct products (see
+    :func:`_double_terms`) ``_D_BLOCK`` points at a time.
     """
     n = len(p_M)
     w = p_tables[:, _UA, _VA] * p_tables[:, _UB, _VB]
     # the 256 draws of each point summed in order onto their net labels
-    leg = np.bincount((16 * np.arange(n)[:, None] + _LEG).ravel(), w.ravel(), 16 * n)
+    leg = np.bincount((16 * np.arange(n)[:, None] + _LEG).ravel(), w.ravel(), 16 * n).reshape(n, 16)
+    # Python's float power, point by point: numpy's power may round otherwise
+    keep, flip = np.array([_meas_weights(p) for p in p_M.tolist()]).reshape(n, 2).T
     # T[n, i, j, a, b]: probability the (control, target) labels (i, j) become
     # (a, b) under a noisy bilateral CNOT
-    T = leg.reshape(n, 16).take(_T_LEG, axis=1)
-    # Python's float power, point by point: numpy's power may round otherwise
-    keep, flip = np.array([_meas_weights(p) for p in p_M.tolist()]).reshape(n, 2).T[:, :, None]
-    w_z = np.where(Z_CHECK_ACCEPT, keep, flip)
-    w_x = np.where(X_CHECK_ACCEPT, keep, flip)
-    S = np.einsum("nijkb,nb->nijk", T, w_z)
-    maps = {"S": S, "S_H": S.reshape(n, 64).take(_S_H, axis=1)}
+    T = leg.take(_T_LEG, axis=1)
+    S = np.einsum("nijkb,nb->nijk", T, np.where(Z_CHECK_ACCEPT, keep[:, None], flip[:, None]))
+    S = np.ascontiguousarray(S.reshape(n, 64).T)
+    maps = {"S": S.reshape(4, 4, 4, n), "S_H": S.take(_S_H, axis=0)}
     if double:
         # gate 1: target pair (i) controls ancilla 1 (j); gate 2: ancilla 2
         # (k) controls ancilla 1; ancilla 1 gets the Z check, ancilla 2 the X
-        # check; a trailing bilateral Hadamard acts on the kept pair, stored
-        # as the outermost axis within a point.
-        D = np.einsum("nijab,nkbdc,nc,nd->nijka", T, T, w_z, w_x)
-        maps["D"] = np.moveaxis(D, 4, 1).take(_H, axis=1).transpose(0, 2, 3, 4, 1)
+        # check; a trailing bilateral Hadamard acts on the kept pair (l).
+        leg, weights = leg.T, np.array([flip, keep])
+        sums = np.empty((64, n))
+        for s in range(0, n, _D_BLOCK):
+            x, v = leg[:, s:s + _D_BLOCK], weights[:, s:s + _D_BLOCK]
+            table = (((x[:, None] * x)[:, :, None] * v)[:, :, :, None] * v).reshape(1024, -1)
+            # a reduce over the outer axis adds the terms in order
+            np.add.reduce(table.take(_D_TERMS, axis=0), axis=0, out=sums[:, s:s + _D_BLOCK])
+        maps["D"] = sums.take(_D_SUMS, axis=0).reshape(4, 4, 4, 4, n)
     return maps
 
 
 def single_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """S[i, j, k]: unnormalised transition probabilities of one
     single-selection round for (kept, ancilla) input labels (i, j)."""
-    return _build_maps(noise.p_table[None], np.array([noise.p_M]), double=False)["S"][0]
+    return _build_maps(noise.p_table[None], np.array([noise.p_M]), double=False)["S"][..., 0]
 
 
 def double_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """D[i, j, k, l]: unnormalised transition probabilities of one
     double-selection round for (kept, ancilla1, ancilla2) labels (i, j, k)."""
-    return _build_maps(noise.p_table[None], np.array([noise.p_M]))["D"][0]
+    return _build_maps(noise.p_table[None], np.array([noise.p_M]))["D"][..., 0]
 
 
 def _finalize(unnorm: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -288,11 +313,6 @@ def double_selection(
 
 #: an ancilla taken from a fresh channel pair every round
 _FRESH = (None, False)
-
-#: contraction of a round tensor with the kept pair and its ancillas, lane by
-#: lane, keyed by the number of ancillas
-_ROUND_SPEC = {1: "nijk,ni,nj->nk", 2: "nijkl,ni,nj,nk->nl"}
-
 
 @dataclass(frozen=True)
 class Stage:
@@ -374,20 +394,28 @@ class Lanes:
     pumping run.
 
     ``f_out[b]`` is lane b's pumped vector, ``probs[s][b]`` the success
-    probability of stage s, ``p_net[b]`` the net success probability and
-    ``conditionals[s][r, b]`` the conditional success probability of round r
-    of stage s.  ``failed[b]`` is the index of the first stage whose success
-    probability underflowed to 0 in lane b, or -1; the other entries of such
-    a lane are meaningless, and NaN from that stage on.  Each round ran as
-    one einsum over all lanes; the rest of the bookkeeping ran once per stage.
+    probability of stage s, ``p_net[b]`` the net success probability
+    (computed on first read) and ``conditionals[s][r, b]`` the conditional
+    success probability of round r of stage s.  ``failed[b]`` is the index
+    of the first stage whose success probability underflowed to 0 in lane b,
+    or -1; the other entries of such a lane are meaningless, and NaN from
+    that stage on.  Each round ran as one contraction over all lanes, with
+    the lane axis last; the rest of the bookkeeping ran once per stage.
     """
 
     f_out: np.ndarray
     probs: tuple[np.ndarray, ...]
-    p_net: np.ndarray
     conditionals: tuple[np.ndarray, ...]
     failed: np.ndarray
     program: StageProgram
+
+    @cached_property
+    def p_net(self) -> np.ndarray:
+        # Python's float power, lane by lane (see _build_maps)
+        p_net = np.ones(len(self.failed))
+        for p, m in zip(self.probs, self.program.multiplicity):
+            p_net = p_net * np.array([x**m for x in p.tolist()])
+        return p_net
 
     def result(self, b: int) -> PumpResult:
         """Lane b as a :class:`PumpResult`; raises
@@ -409,23 +437,26 @@ class Lanes:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndarray]) -> Lanes:
+def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndarray], index) -> Lanes:
     """Run a stage program on every lane: lane b starts its fresh pairs from
-    ``f_ini[b]`` and uses the round tensors ``maps[name][b]``.  Each round is
-    one einsum into a ring of ROUND_BLOCK (B, 4) buffers; each pass round the
-    ring is summed at once, and the round sums give the stage's
-    conditionals, probability and failures."""
+    ``f_ini[b]`` and uses the round tensors ``maps[name][..., index[b]]``.
+    Vectors are (4, B) and tensors carry the lanes last, so each round is one
+    einsum over contiguous lanes into a ring of ROUND_BLOCK (4, B) buffers;
+    each pass round the ring is summed at once, and the round sums give the
+    stage's conditionals, probability and failures."""
     n = len(f_ini)
+    f_ini = np.ascontiguousarray(f_ini.T)
     outputs = {}
     probs = []
     conditionals = []
     failed = np.full(n, -1)
-    ring = np.empty((ROUND_BLOCK, n, 4))
+    ring = np.empty((ROUND_BLOCK, 4, n))
+    product = np.empty((4, 4, 4, 4, n)) if "D" in maps else None
     for s, stage in enumerate(program.stages):
-        tensor = maps[stage.tensor]
-        spec = _ROUND_SPEC[len(stage.ancillas)]
+        double = stage.tensor == "D"
+        tensor = maps["D"] if double else maps[stage.tensor].take(index, axis=-1)
         ancillas = [
-            f_ini if src is None else outputs[src].take(_H, axis=1) if rotated else outputs[src]
+            f_ini if src is None else outputs[src].take(_H, axis=0) if rotated else outputs[src]
             for src, rotated in stage.ancillas
         ]
         f = f_ini if stage.start is None else outputs[stage.start]
@@ -434,21 +465,21 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
         sums = np.ones((stage.rounds + 1, n))
         for r in range(stage.rounds):
             k = r % ROUND_BLOCK
-            f = np.einsum(spec, tensor, f, *ancillas, out=ring[k])
+            if double:  # the product einsum forms first, in one reused buffer
+                tensor.take(index, axis=-1, out=product, mode="wrap")
+                f = np.einsum("ijkln,jn,kn->ln", np.multiply(product, f[:, None, None, None], out=product),
+                              *ancillas, out=ring[k])
+            else:
+                f = np.einsum("ijkn,in,jn->kn", tensor, f, *ancillas, out=ring[k])
             if k == ROUND_BLOCK - 1 or r == stage.rounds - 1:
-                ring[:k + 1].sum(axis=2, out=sums[r - k + 1:r + 2])
+                ring[:k + 1].sum(axis=1, out=sums[r - k + 1:r + 2])
         failed[(failed < 0) & (sums <= 0.0).any(axis=0)] = s
-        outputs[stage.name] = f / sums[-1][:, None]
+        outputs[stage.name] = f / sums[-1]
         probs.append(sums[-1])
         conditionals.append(sums[1:] / sums[:-1])
-    # Python's float power, lane by lane (see _build_maps)
-    p_net = np.ones(n)
-    for p, m in zip(probs, program.multiplicity):
-        p_net = p_net * np.array([x**m for x in p.tolist()])
     return Lanes(
-        f_out=outputs[program.stages[-1].name],
+        f_out=np.ascontiguousarray(outputs[program.stages[-1].name].T),
         probs=tuple(probs),
-        p_net=p_net,
         conditionals=tuple(conditionals),
         failed=failed,
         program=program,
@@ -459,15 +490,13 @@ def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lane
     """Pump every lane in one interpreter pass: lane b starts from the
     channel vector ``f_ini[b]`` under the noise ``noises[index[b]]``.
 
-    Only the round tensors the schedule's stages use are built, once per
-    entry of ``noises``, and copied to the lanes.
+    The round tensors are built once per entry of ``noises`` (D for double
+    schedules only) and gathered to the lanes.
     """
-    program = stage_program(schedule)
-    used = {stage.tensor for stage in program.stages}
     maps = _build_maps(
-        np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]), "D" in used
+        np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]), schedule.scheme == "double"
     )
-    return _interpret(program, f_ini, {name: maps[name][index] for name in used})
+    return _interpret(stage_program(schedule), f_ini, maps, index)
 
 
 def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
@@ -575,6 +604,27 @@ def enumerate_double_map(noise: NoiseParams) -> np.ndarray:
     return D
 
 
+# The samplers hold a (control, target) pair of labels as one uint8 label
+# 4 * control + target, so each gate is one table lookup: _CNOT_PAIR[i, j] is
+# the pair an ideal bilateral CNOT makes of (i, j), and
+# _NOISY_GATE[16 * (16 * dA + dB) + pair] the pair after the error draws dA, dB
+# of the gate's two sides (see _LEG).
+_PAIR = np.arange(16)
+_CNOT_PAIR = (4 * CNOT_CONTROL_TABLE + CNOT_TARGET_TABLE).astype(np.uint8)
+_NOISY_GATE = 4 * MUL_TABLE[_PAIR // 4, _LEG[:, None] // 4] + MUL_TABLE[_PAIR % 4, _LEG[:, None] % 4]
+_NOISY_GATE = _NOISY_GATE.astype(np.uint8).ravel()
+# the parity bits each check reads off a pair
+_TARGET_X = X_COMPONENT[_PAIR % 4].astype(bool)
+_CONTROL_Z = Z_COMPONENT[_PAIR // 4].astype(bool)
+
+
+def _noisy_gate(pair: np.ndarray, noise: NoiseParams, n_samples: int, rng: np.random.Generator) -> np.ndarray:
+    """The pairs after the error draws of a noisy bilateral CNOT, one per sample."""
+    p_flat = noise.p_table.ravel()
+    draws = 16 * rng.choice(16, size=n_samples, p=p_flat) + rng.choice(16, size=n_samples, p=p_flat)
+    return _NOISY_GATE.take(16 * draws + pair)
+
+
 def sample_single_selection(
     target, ancilla, noise: NoiseParams, n_samples: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, float]:
@@ -585,18 +635,12 @@ def sample_single_selection(
     """
     f1 = as_fidelity_vector(target)
     f2 = as_fidelity_vector(ancilla)
-    p_flat = noise.p_table.ravel()
     i = rng.choice(4, size=n_samples, p=f1)
     j = rng.choice(4, size=n_samples, p=f2)
-    a0 = CNOT_CONTROL_TABLE[i, j]
-    b0 = CNOT_TARGET_TABLE[i, j]
-    dA = rng.choice(16, size=n_samples, p=p_flat)
-    dB = rng.choice(16, size=n_samples, p=p_flat)
-    a = MUL_TABLE[MUL_TABLE[a0, dA // 4], _H[dB // 4]]
-    b = MUL_TABLE[MUL_TABLE[b0, dA % 4], _H[dB % 4]]
+    pair = _noisy_gate(_CNOT_PAIR[i, j], noise, n_samples, rng)
     flips = rng.random((n_samples, 2)) < noise.p_M
-    observed_odd = X_COMPONENT[b].astype(bool) ^ flips[:, 0] ^ flips[:, 1]
-    kept = a[~observed_odd]
+    observed_odd = _TARGET_X[pair] ^ flips[:, 0] ^ flips[:, 1]
+    kept = pair[~observed_odd] // 4
     if kept.size == 0:
         raise SuccessProbabilityError("Monte Carlo single selection: no samples accepted")
     counts = np.bincount(kept, minlength=4).astype(float)
@@ -610,27 +654,17 @@ def sample_double_selection(
     f1 = as_fidelity_vector(target)
     f2 = as_fidelity_vector(ancilla1)
     f3 = as_fidelity_vector(ancilla2)
-    p_flat = noise.p_table.ravel()
     i = rng.choice(4, size=n_samples, p=f1)
     j = rng.choice(4, size=n_samples, p=f2)
     k = rng.choice(4, size=n_samples, p=f3)
-    a0 = CNOT_CONTROL_TABLE[i, j]
-    b0 = CNOT_TARGET_TABLE[i, j]
-    d1A = rng.choice(16, size=n_samples, p=p_flat)
-    d1B = rng.choice(16, size=n_samples, p=p_flat)
-    a1 = MUL_TABLE[MUL_TABLE[a0, d1A // 4], _H[d1B // 4]]
-    b1 = MUL_TABLE[MUL_TABLE[b0, d1A % 4], _H[d1B % 4]]
-    k1 = CNOT_CONTROL_TABLE[k, b1]
-    b2 = CNOT_TARGET_TABLE[k, b1]
-    d2A = rng.choice(16, size=n_samples, p=p_flat)
-    d2B = rng.choice(16, size=n_samples, p=p_flat)
-    k2 = MUL_TABLE[MUL_TABLE[k1, d2A // 4], _H[d2B // 4]]
-    b3 = MUL_TABLE[MUL_TABLE[b2, d2A % 4], _H[d2B % 4]]
+    # gate 1: (target, ancilla 1); gate 2: (ancilla 2, ancilla 1)
+    pair = _noisy_gate(_CNOT_PAIR[i, j], noise, n_samples, rng)
+    checked = _noisy_gate(_CNOT_PAIR[k, pair % 4], noise, n_samples, rng)
     flips = rng.random((n_samples, 4)) < noise.p_M
-    odd_z = X_COMPONENT[b3].astype(bool) ^ flips[:, 0] ^ flips[:, 1]
-    odd_x = Z_COMPONENT[k2].astype(bool) ^ flips[:, 2] ^ flips[:, 3]
+    odd_z = _TARGET_X[checked] ^ flips[:, 0] ^ flips[:, 1]
+    odd_x = _CONTROL_Z[checked] ^ flips[:, 2] ^ flips[:, 3]
     accept = ~(odd_z | odd_x)
-    kept = _H[a1[accept]]
+    kept = _H[pair[accept] // 4]
     if kept.size == 0:
         raise SuccessProbabilityError("Monte Carlo double selection: no samples accepted")
     counts = np.bincount(kept, minlength=4).astype(float)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from distqc.cli import build_parser, main
+from distqc.cli import MAX_GRID, build_parser, main
 
 
 def run(capsys, *argv):
@@ -384,6 +384,23 @@ def test_schedule_beyond_the_round_cap_is_refused(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert "MAX_ROUNDS = 10000" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("count", [MAX_GRID + 1, 10**9], ids=["cap + 1", "a billion"])
+@pytest.mark.parametrize("command", [
+    ["threshold-curve", "--schedule", "2,4"],
+    ["infidelity-contour", "--schedule", "2,4", "--level", "1e-3"],
+    ["resource", "--schedule", "1,2,2", "--levels", "30"],
+], ids=["threshold-curve", "infidelity-contour", "resource"])
+def test_grid_beyond_its_cap_is_refused(capsys, command, count):
+    # the count is refused before a grid point is built
+    start = time.perf_counter()
+    code = main([*command, "--grid", f"0.7:1.0:{count}"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: grid count {count} exceeds MAX_GRID = 100000 points\n"
     assert elapsed < 1.0
 
 

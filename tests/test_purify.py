@@ -471,3 +471,157 @@ def test_round_block_does_not_change_a_bit(monkeypatch, ring):
     monkeypatch.setattr(purify, "ROUND_BLOCK", ring)
     for schedule, expected in zip(schedules, whole):
         assert_same_result(pump(channel, schedule, noise), expected)
+
+
+# --- bitwise references for the lane engine ---------------------------------
+#
+# The lane engine keeps every point and lane axis last and gathers the
+# double-selection tensor from a table of products; it reorders memory, not
+# arithmetic.  These are the formulas it replaced, with the point or lane axis
+# first: the engine must give their bits.
+
+
+def reference_maps(p_tables, p_M):
+    """S, S_H and D of every point by their defining einsums, points first."""
+    n = len(p_M)
+    w = p_tables[:, purify._UA, purify._VA] * p_tables[:, purify._UB, purify._VB]
+    leg = np.bincount((16 * np.arange(n)[:, None] + purify._LEG).ravel(), w.ravel(), 16 * n)
+    T = leg.reshape(n, 16).take(purify._T_LEG, axis=1)
+    keep, flip = np.array([purify._meas_weights(p) for p in p_M.tolist()]).reshape(n, 2).T[:, :, None]
+    w_z = np.where(purify.Z_CHECK_ACCEPT, keep, flip)
+    w_x = np.where(purify.X_CHECK_ACCEPT, keep, flip)
+    S = np.einsum("nijkb,nb->nijk", T, w_z)
+    D = np.einsum("nijab,nkbdc,nc,nd->nijka", T, T, w_z, w_x)
+    return {"S": S, "S_H": S.reshape(n, 64).take(purify._S_H, axis=1),
+            "D": np.moveaxis(D, 4, 1).take(purify._H, axis=1).transpose(0, 2, 3, 4, 1)}
+
+
+@st.composite
+def noise_points(draw):
+    """Asymmetric gate error tables with zero entries, p_M = 0 among them,
+    for a point count on either side of a gather block."""
+    n = draw(st.integers(1, 2 * purify._D_BLOCK + 1))
+    entry = st.one_of(st.just(0.0), st.floats(0.0, 0.02))
+    tables = np.array([[0.0] + draw(st.lists(entry, min_size=15, max_size=15)) for _ in range(n)])
+    tables[:, 0] = 1.0 - tables.sum(axis=1)
+    p_M = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.0, 0.1)), min_size=n, max_size=n))
+    return tables.reshape(n, 4, 4), np.array(p_M)
+
+
+@settings(deadline=None, max_examples=60)
+@given(points=noise_points())
+def test_maps_are_bitwise_their_defining_einsums(points):
+    p_tables, p_M = points
+    maps = purify._build_maps(p_tables, p_M)
+    for name, expected in reference_maps(p_tables, p_M).items():
+        assert maps[name].shape == expected.shape[1:] + (len(p_M),)
+        assert np.array_equal(np.moveaxis(maps[name], -1, 0), expected)
+
+
+#: one stage per round kernel, each running two rounds on its own vectors:
+#: "a" and "b" pump fresh pairs, "c" pumps the output of "a" against those of
+#: "b" and of "a" rotated
+KERNEL_PROGRAM = purify.StageProgram(
+    stages=(
+        purify.Stage("a", "S", None, (purify._FRESH,), 2, "a"),
+        purify.Stage("b", "S_H", None, (purify._FRESH,), 2, "b"),
+        purify.Stage("c", "D", "a", (("b", False), ("a", True)), 2, "c"),
+    ),
+    multiplicity=(1, 1, 1), fixed_pairs=0, round_cost=(), tally=OpsTally(0, 0, 0),
+)
+
+
+def reference_stage(spec, tensor, f, ancillas, rounds=2):
+    for _ in range(rounds):
+        f = np.einsum(spec, tensor, f, *ancillas)
+    p = f.sum(axis=1)
+    return f / p[:, None], p
+
+
+@settings(deadline=None, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 9), lanes=st.sampled_from([1, 2, 203]))
+def test_round_kernels_are_bitwise_the_lane_first_einsums(seed, points, lanes):
+    # arbitrary tensors with zero entries, so the test holds for any values
+    rng = np.random.default_rng(seed)
+    maps = {name: rng.random(shape + (points,)) * (rng.random(shape + (points,)) < 0.9)
+            for name, shape in (("S", (4,) * 3), ("S_H", (4,) * 3), ("D", (4,) * 4))}
+    f_ini = rng.dirichlet(np.ones(4), lanes)
+    index = rng.integers(0, points, lanes)
+    got = purify._interpret(KERNEL_PROGRAM, f_ini, maps, index)
+    # the lane-first tensors, D in its old layout (output axis outermost)
+    S, S_H = (np.moveaxis(maps[name], -1, 0)[index] for name in ("S", "S_H"))
+    D = np.ascontiguousarray(np.moveaxis(maps["D"], (4, 3), (0, 1))).transpose(0, 2, 3, 4, 1)[index]
+    a, p_a = reference_stage("nijk,ni,nj->nk", S, f_ini, [f_ini])
+    b, p_b = reference_stage("nijk,ni,nj->nk", S_H, f_ini, [f_ini])
+    c, p_c = reference_stage("nijkl,ni,nj,nk->nl", D, a, [b, a[:, purify._H]])
+    assert np.array_equal(got.f_out, c, equal_nan=True)
+    for p, expected in zip(got.probs, (p_a, p_b, p_c)):
+        assert np.array_equal(p, expected, equal_nan=True)
+
+
+def test_map_build_at_1024_points_stays_small():
+    # the double-selection terms are gathered a few points at a time; the
+    # 4-operand einsum they replace peaked at 11.2 MB here
+    noises = [depolarizing_noise(p, p) for p in np.linspace(1e-4, 0.04, 1024)]
+    p_tables, p_M = np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises])
+    tracemalloc.start()
+    try:
+        purify._build_maps(p_tables, p_M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_threshold_sweeps_never_compute_p_net(monkeypatch):
+    from distqc.threshold import ThresholdConditions, threshold_curve
+
+    interpret, built = purify._interpret, []
+    monkeypatch.setattr(purify, "_interpret", lambda *args: built.append(interpret(*args)) or built[-1])
+    threshold_curve(PumpSchedule.double(3, 4, 14), [0.8, 0.9], "equal", ThresholdConditions())
+    assert built and all("p_net" not in lanes.__dict__ for lanes in built)
+    # read, it is the product over stages of each probability to its
+    # multiplicity, in Python's float power
+    lanes = built[0]
+    for b in range(len(lanes.failed)):
+        expected = 1.0
+        for p, m in zip(lanes.probs, lanes.program.multiplicity):
+            expected *= float(p[b]) ** m
+        assert lanes.p_net[b] == expected
+    assert "p_net" in lanes.__dict__
+
+
+def reference_samples(f, noise, n_samples, rng, double):
+    """The label-by-label samplers the fused lookup tables replaced."""
+    from distqc.pauli import (CNOT_CONTROL_TABLE as CC, CNOT_TARGET_TABLE as CT, HAD_TABLE as H,
+                              MUL_TABLE as M, X_COMPONENT, Z_COMPONENT)
+
+    p_flat = noise.p_table.ravel()
+
+    def gate(c, t):
+        dA, dB = (rng.choice(16, size=n_samples, p=p_flat) for _ in range(2))
+        return M[M[c, dA // 4], H[dB // 4]], M[M[t, dA % 4], H[dB % 4]]
+
+    i, j, *k = (rng.choice(4, size=n_samples, p=v) for v in f)
+    a, b = gate(CC[i, j], CT[i, j])
+    if not double:
+        flips = rng.random((n_samples, 2)) < noise.p_M
+        kept = a[~(X_COMPONENT[b].astype(bool) ^ flips[:, 0] ^ flips[:, 1])]
+    else:
+        k2, b3 = gate(CC[k[0], b], CT[k[0], b])
+        flips = rng.random((n_samples, 4)) < noise.p_M
+        odd_z = X_COMPONENT[b3].astype(bool) ^ flips[:, 0] ^ flips[:, 1]
+        odd_x = Z_COMPONENT[k2].astype(bool) ^ flips[:, 2] ^ flips[:, 3]
+        kept = H[a[~(odd_z | odd_x)]]
+    return np.bincount(kept, minlength=4) / kept.size, kept.size / n_samples
+
+
+@pytest.mark.parametrize("double", [False, True], ids=["single", "double"])
+@pytest.mark.parametrize("noise", [MILD, depolarizing_noise(0.03, 0.0), depolarizing_noise(0.02, 0.05)])
+def test_samplers_draw_as_the_label_by_label_reference(noise, double):
+    # the same generator calls in the same order, so the same samples
+    f = [[0.85, 0.05, 0.05, 0.05], [0.7, 0.1, 0.15, 0.05], [0.9, 0.0, 0.05, 0.05]]
+    sample = sample_double_selection if double else sample_single_selection
+    got = sample(*f[:2 + double], noise, 20_000, np.random.default_rng(9))
+    expected = reference_samples(f[:2 + double], noise, 20_000, np.random.default_rng(9), double)
+    assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
