@@ -32,9 +32,6 @@ print(f"Monte Carlo restart simulation (1e6 trials):     K = {K_mc:.2f}")
 K_ops = expected_cost(schedule, channel, noise, CostModel(count_local_ops=True))
 print(f"counting local gates and measurements as well:   K = {K_ops:.2f}")
 
-K_round = expected_cost(schedule, channel, noise, CostModel(restart="round"))
-print(f"optimistic per-round retry lower bound:          K = {K_round:.2f}")
-
 count = shor_gate_count(1024)
 report = total_overhead(K, T_PER_PI8_AT_THIRD_THRESHOLD, count.pi8)
 print(f"\nfactoring a 1024-bit number needs {count.toffoli:.2e} Toffoli gates,")

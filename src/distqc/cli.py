@@ -260,6 +260,9 @@ def _cmd_resource(args) -> int:
             raise ValueError("--levels requires --grid")
         levels = [float(x) for x in args.levels.split(",")]
         grid = _parse_grid(args.grid)
+        if len(levels) * len(grid) > MAX_GRID:
+            raise ValueError(f"{len(levels)} levels x {len(grid)} grid points exceed "
+                             f"MAX_GRID = {MAX_GRID} contour lanes")
         curves = contour_expected_cost(schedule, levels, grid, model)
         rows = []
         for level, pts in zip(levels, curves):

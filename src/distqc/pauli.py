@@ -17,7 +17,6 @@ import numpy as np
 
 I, X, Y, Z = 0, 1, 2, 3
 LABELS = (I, X, Y, Z)
-LABEL_NAMES = "IXYZ"
 
 ATOL = 1e-12
 

@@ -339,15 +339,12 @@ class StageProgram:
     """A compiled schedule and everything derived from its stage graph.
 
     ``multiplicity[s]`` counts the instances of stage s one attempt runs and
-    ``round_cost[s]`` is the cost of each round of stage s.  The fresh start
-    pair of every stage instance is a fixed cost (``fixed_pairs``); every
-    fresh ancilla pair is charged to its round.
+    ``tally`` the base pairs, two-qubit gates and measurements of one whole
+    attempt.
     """
 
     stages: tuple[Stage, ...]
     multiplicity: tuple[int, ...]
-    fixed_pairs: int
-    round_cost: tuple[OpsTally, ...]
     tally: OpsTally
 
 
@@ -376,16 +373,11 @@ def stage_program(schedule: PumpSchedule) -> StageProgram:
         for source, _ in stage.ancillas:
             instances[source] += instances[stage.name] * stage.rounds
     multiplicity = tuple(instances[stage.name] for stage in stages)
-    fixed_pairs = sum(m for m, s in zip(multiplicity, stages) if s.start is None)
     # each ancilla costs one bilateral CNOT (two gates) and one bilateral
     # parity measurement (two measurements) per round
-    round_cost = tuple(
-        OpsTally(sum(src is None for src, _ in s.ancillas), 2 * len(s.ancillas), 2 * len(s.ancillas))
-        for s in stages
-    )
-    gates = sum(m * s.rounds * c.twoq_gates for m, s, c in zip(multiplicity, stages, round_cost))
+    gates = sum(m * s.rounds * 2 * len(s.ancillas) for m, s in zip(multiplicity, stages))
     tally = OpsTally(instances[None], gates, gates)  # one measurement per gate
-    return StageProgram(stages, multiplicity, fixed_pairs, round_cost, tally)
+    return StageProgram(stages, multiplicity, tally)
 
 
 @dataclass(frozen=True)

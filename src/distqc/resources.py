@@ -4,9 +4,7 @@ The expected cost K of delivering one purified pair to a teleported gate
 follows from the all-or-nothing restart policy: every postselection failure
 discards the whole protocol state, so K equals the cost of one full attempt
 divided by the attempt's net success probability.  A Monte Carlo simulator of
-the restart process serves as an independent cross-check, and an optimistic
-per-round retry model is available for comparison (a failed round physically
-destroys the pumped state, so that model is a lower bound only).
+the restart process serves as an independent cross-check.
 
 The default cost model counts consumed base pairs, i.e. the quantum
 communication per gate; local gate and measurement counting can be switched
@@ -43,29 +41,19 @@ MC_BLOCK_DRAWS = 2**16
 
 @dataclass(frozen=True)
 class CostModel:
-    """What the attempt cost counts and how failures are retried.
-
-    restart "protocol" is the all-or-nothing policy (any failure restarts the
-    whole attempt, whose full cost is provisioned up front); "round" retries
-    only the failed round and is an optimistic lower bound, excluded from the
-    headline numbers.
-    """
+    """What the cost of one attempt counts: the base pairs it consumes, and
+    with ``count_local_ops`` also its local gates and measurements and those
+    of the teleported gate that consumes the purified pair."""
 
     count_local_ops: bool = False
-    restart: str = "protocol"
 
-    def __post_init__(self):
-        if self.restart not in ("protocol", "round"):
-            raise ValueError(f"unknown restart policy {self.restart!r}")
-
-    def attempt_cost(self, tally: OpsTally, include_gate_ops: bool = True) -> float:
+    def attempt_cost(self, tally: OpsTally) -> float:
         """Base pairs consumed, plus gates and measurements when local
         operations are counted."""
         cost = float(tally.base_pairs)
         if self.count_local_ops:
             cost += tally.twoq_gates + tally.measurements
-            if include_gate_ops:
-                cost += TTG_TWOQ_GATES + TTG_MEASUREMENTS
+            cost += TTG_TWOQ_GATES + TTG_MEASUREMENTS
         return cost
 
 
@@ -93,23 +81,14 @@ def expected_cost(
     operations included when local operations are counted."""
     model = model or CostModel()
     result = pump(channel, schedule, noise)
-    if model.restart == "protocol" and result.p_net <= 0.0:
+    if result.p_net <= 0.0:
         raise SuccessProbabilityError("net success probability underflowed to 0")
     return _cost(result, model)
 
 
 def _cost(result: PumpResult | Lanes, model: CostModel):
     """K of one pumping run, or of every lane of a :class:`Lanes` result."""
-    program = result.program
-    if model.restart == "protocol":
-        return model.attempt_cost(program.tally) / result.p_net
-    # fixed setup cost: the teleported gate and the fresh start pair of every
-    # stage instance; each instance of a stage retries each of its rounds
-    total = model.attempt_cost(OpsTally(program.fixed_pairs, 0, 0))
-    for m, c, cond in zip(program.multiplicity, program.round_cost, result.conditionals):
-        cost = model.attempt_cost(c, include_gate_ops=False)
-        total = total + m * sum(cost / x for x in cond)
-    return total
+    return model.attempt_cost(result.program.tally) / result.p_net
 
 
 def simulate_expected_cost(
@@ -133,8 +112,6 @@ def simulate_expected_cost(
     if trials < 1:
         raise ValueError(f"the Monte Carlo cross-check needs at least 1 trial, got {trials}")
     model = model or CostModel()
-    if model.restart != "protocol":
-        raise ValueError("the Monte Carlo oracle simulates the all-or-nothing policy")
     result = pump(channel, schedule, noise)
     rounds = sum(m * s.rounds for m, s in zip(result.program.multiplicity, result.program.stages))
     draws = trials * rounds / result.p_net if result.p_net > 0.0 else math.inf
@@ -173,8 +150,8 @@ def contour_expected_cost(
     model = model or CostModel()
     levels = list(levels)
     for level in levels:
-        if not level > 0:
-            raise ValueError(f"contour level must be positive, got {level}")
+        if not (level > 0 and math.isfinite(level)):
+            raise ValueError(f"contour level must be finite and positive, got {level}")
     return contours(schedule, levels, F_grid, lambda lanes: _cost(lanes, model))
 
 

@@ -334,7 +334,7 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
     n = len(F_grid)
     f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
 
-    @np.errstate(divide="ignore", invalid="ignore")
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def guarded(lanes: Lanes, _):
         return np.where(lanes.failed < 0, read(lanes), math.inf)
 

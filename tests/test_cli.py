@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from distqc import cli
 from distqc.cli import MAX_GRID, build_parser, main
 
 
@@ -402,6 +403,20 @@ def test_grid_beyond_its_cap_is_refused(capsys, command, count):
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: grid count {count} exceeds MAX_GRID = 100000 points\n"
     assert elapsed < 1.0
+
+
+def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch):
+    # each level x grid point is one lane of search state; the product is
+    # capped like a grid and refused before any lane is built
+    def no_lanes(*_):
+        raise AssertionError("lanes were built")
+
+    monkeypatch.setattr(cli, "MAX_GRID", 4)
+    monkeypatch.setattr(cli, "contour_expected_cost", no_lanes)
+    code = main(["resource", "--schedule", "1,2,2", "--levels", "1,2,3", "--grid", "0.9:0.95:2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: 3 levels x 2 grid points exceed MAX_GRID = 4 contour lanes\n"
 
 
 @pytest.mark.parametrize("n_bits, T_per_gate", [("1024", "nan"), ("1" + "0" * 100, "2e10"),

@@ -392,7 +392,6 @@ def test_stage_program_invariants(schedule, F, p):
 
     program = stage_program(schedule)
     assert len(chain) == sum(m * s.rounds for m, s in zip(program.multiplicity, program.stages))
-    assert program.fixed_pairs == 1 + schedule.counts[-1]
 
     assert expected_cost(schedule, channel, noise) >= pairs
 
@@ -527,7 +526,7 @@ KERNEL_PROGRAM = purify.StageProgram(
         purify.Stage("b", "S_H", None, (purify._FRESH,), 2, "b"),
         purify.Stage("c", "D", "a", (("b", False), ("a", True)), 2, "c"),
     ),
-    multiplicity=(1, 1, 1), fixed_pairs=0, round_cost=(), tally=OpsTally(0, 0, 0),
+    multiplicity=(1, 1, 1), tally=OpsTally(0, 0, 0),
 )
 
 

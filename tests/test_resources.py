@@ -5,7 +5,7 @@ import pytest
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc import resources
-from distqc.purify import PumpSchedule, pump
+from distqc.purify import PumpSchedule
 from distqc.resources import (
     CostModel,
     T_PER_PI8_AT_THIRD_THRESHOLD,
@@ -69,27 +69,6 @@ def test_full_operation_count_model():
     assert full == pytest.approx(base * 55 / 11)
 
 
-def test_round_retry_model_is_optimistic():
-    model = CostModel(restart="round")
-    for F in (0.9, 0.8):
-        k_round = expected_cost(SCHED_122, ChannelParams(F), MILD, model)
-        k_protocol = expected_cost(SCHED_122, ChannelParams(F), MILD)
-        assert k_round < k_protocol
-
-
-def test_round_retry_charges_fresh_pairs_uniformly():
-    # every stage instance's start pair is a fixed cost and every fresh
-    # ancilla pair is charged to its round: for single pumping the 1 + n2
-    # level-1 chain starts are fixed and only level-1 rounds draw fresh pairs
-    n1, n2 = 3, 4
-    schedule = PumpSchedule.single(n1, n2)
-    chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
-    lv1 = list(range(n1)) + [n1 + r * (n1 + 1) + k for r in range(n2) for k in range(n1)]
-    want = (1 + n2) + sum(1.0 / chain[i] for i in lv1)
-    K = expected_cost(schedule, ChannelParams(0.9), MILD, CostModel(restart="round"))
-    assert K == pytest.approx(want, rel=1e-12)
-
-
 def test_monte_carlo_draws_in_bounded_blocks(monkeypatch):
     # the draws are made in blocks, never for all live trials at once
     # (200 000 trials x 6 rounds would be 9.6 MB of float64 in one array)
@@ -107,22 +86,10 @@ def test_monte_carlo_draws_in_bounded_blocks(monkeypatch):
     assert simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4) == K
 
 
-def test_monte_carlo_rejects_round_retry():
-    with pytest.raises(ValueError):
-        simulate_expected_cost(
-            SCHED_122, ChannelParams(0.9), MILD, CostModel(restart="round"), trials=10
-        )
-
-
 @pytest.mark.parametrize("trials", [0, -3])
 def test_monte_carlo_rejects_too_few_trials(trials):
     with pytest.raises(ValueError, match="at least 1 trial"):
         simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=trials)
-
-
-def test_cost_model_validation():
-    with pytest.raises(ValueError):
-        CostModel(restart="never")
 
 
 def test_contour_ordering():
@@ -146,11 +113,10 @@ def test_contour_empty_grid():
     assert contour_expected_cost(SCHED_122, [30.0], []) == [[]]
 
 
-@pytest.mark.parametrize("model", [CostModel(), CostModel(count_local_ops=True),
-                                   CostModel(restart="round")], ids=repr)
+@pytest.mark.parametrize("model", [CostModel(), CostModel(count_local_ops=True)], ids=repr)
 def test_contour_omits_points_whose_net_success_underflows(model):
-    # p_net underflows to 0.0 with no stage failing: K is inf under the
-    # protocol restart and huge under round retry, so no level is crossed
+    # p_net underflows to 0.0 with no stage failing: K is inf, so no level
+    # is crossed
     schedule = PumpSchedule.single(100, 1000)
     assert contour_expected_cost(schedule, [1e5, 1e300], [0.6, 0.9, 0.99], model) == [[], []]
 
@@ -160,6 +126,16 @@ def test_contour_rejects_bad_level():
         contour_expected_cost(SCHED_122, [-5.0], [0.9])
     with pytest.raises(ValueError):
         contour_expected_cost(SCHED_122, [float("nan")], [0.9])
+    with pytest.raises(ValueError):
+        contour_expected_cost(SCHED_122, [float("inf")], [0.9])
+
+
+def test_contour_level_whose_cost_overflows_warns_nothing():
+    # K = attempt cost / p_net overflows to inf just below p_net's underflow;
+    # inf lies above the level, so the point is bisected without a warning
+    # (the tests turn every RuntimeWarning into an error)
+    curves = contour_expected_cost(PumpSchedule.single(20, 300), [1e300], [1.0])
+    assert curves == [[(1.0, 0.028478750000000004)]]
 
 
 def test_shor_gate_count():
@@ -197,18 +173,10 @@ def test_overhead_from_expected_cost_band():
     assert 1.5e23 <= report.R <= 3.6e23
 
 
-@pytest.mark.parametrize(
-    "schedule", [PumpSchedule.double(0, 0, 0), SCHED_122, PumpSchedule.single(3, 4)]
-)
-def test_restart_policies_agree_when_no_round_fails(schedule):
-    # with a perfect channel and no noise every round succeeds, so retrying
-    # failed rounds costs what restarting failed attempts does; the
-    # teleported gate's local operations are charged once under both
+def test_noiseless_cost_charges_the_teleported_gate_once():
+    # with a perfect channel and no noise every round succeeds, so K is the
+    # one attempt: a base pair plus the teleported gate's two gates and two
+    # measurements, each charged once
     channel, noise = ChannelParams(1.0), depolarizing_noise(0, 0)
-    k_protocol = expected_cost(schedule, channel, noise, CostModel(count_local_ops=True))
-    k_round = expected_cost(
-        schedule, channel, noise, CostModel(restart="round", count_local_ops=True)
-    )
-    assert k_round == k_protocol
-    if schedule == PumpSchedule.double(0, 0, 0):
-        assert k_round == 5.0
+    K = expected_cost(PumpSchedule.double(0, 0, 0), channel, noise, CostModel(count_local_ops=True))
+    assert K == 5.0

@@ -298,7 +298,7 @@ def test_threshold_curve_equals_pointwise_thresholds(schedule, grid, rule, margi
     schedule=st.sampled_from(PRESETS),
     levels=st.lists(st.floats(1.0, 3000.0), min_size=2, max_size=4),
     grid=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
-    model=st.sampled_from([CostModel(), CostModel(restart="round", count_local_ops=True)]),
+    model=st.sampled_from([CostModel(), CostModel(count_local_ops=True)]),
 )
 def test_cost_contour_levels_equal_separate_contours(schedule, levels, grid, model):
     curves = contour_expected_cost(schedule, levels, grid, model)
