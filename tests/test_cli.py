@@ -419,6 +419,22 @@ def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch)
     assert captured.err == "error: 3 levels x 2 grid points exceed MAX_GRID = 4 contour lanes\n"
 
 
+def test_cost_contour_refuses_an_infinite_level(capsys):
+    # an inf level would trace where p_net underflows, not a cost level
+    code = main(["resource", "--schedule", "20,300", "--levels", "inf", "--grid", "0.9:1.0:3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: contour level must be finite and positive, got inf\n"
+
+
+def test_cost_contour_whose_cost_overflows_writes_no_warning(capsys):
+    # K overflows to inf near F = 1 and lies above the level: one clean row
+    code = main(["resource", "--schedule", "20,300", "--levels", "1e300", "--grid", "1.0:1.0:1"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert captured.out.splitlines()[1:] == ["K,F,p_g", "1.0000000000000001e+300,1,0.028478750000000004"]
+
+
 @pytest.mark.parametrize("n_bits, T_per_gate", [("1024", "nan"), ("1" + "0" * 100, "2e10"),
                                                 ("1" + "0" * 400, "2e10")],
                          ids=["nan T-per-gate", "101-digit n-bits", "401-digit n-bits"])

@@ -5,7 +5,7 @@ import pytest
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc import resources
-from distqc.purify import PumpSchedule
+from distqc.purify import OpsTally, PumpSchedule, SuccessProbabilityError
 from distqc.resources import (
     CostModel,
     T_PER_PI8_AT_THIRD_THRESHOLD,
@@ -173,10 +173,38 @@ def test_overhead_from_expected_cost_band():
     assert 1.5e23 <= report.R <= 3.6e23
 
 
-def test_noiseless_cost_charges_the_teleported_gate_once():
+@pytest.mark.parametrize(
+    "schedule, want",
+    [(PumpSchedule.double(0, 0, 0), 5.0), (SCHED_122, 55.0), (PumpSchedule.single(3, 4), 100.0)],
+    ids=["double(0,0,0)", "double(1,2,2)", "single(3,4)"],
+)
+def test_noiseless_cost_charges_the_teleported_gate_once(schedule, want):
     # with a perfect channel and no noise every round succeeds, so K is the
-    # one attempt: a base pair plus the teleported gate's two gates and two
-    # measurements, each charged once
+    # one attempt: its pairs, gates and measurements plus the teleported
+    # gate's two gates and two measurements, each charged once
     channel, noise = ChannelParams(1.0), depolarizing_noise(0, 0)
-    K = expected_cost(PumpSchedule.double(0, 0, 0), channel, noise, CostModel(count_local_ops=True))
-    assert K == 5.0
+    K = expected_cost(schedule, channel, noise, CostModel(count_local_ops=True))
+    assert K == want
+
+
+def test_attempt_cost_adds_the_teleported_gate_only_with_local_ops():
+    tally = OpsTally(3, 5, 7)
+    assert CostModel().attempt_cost(tally) == 3.0
+    want = 3 + 5 + 7 + resources.TTG_TWOQ_GATES + resources.TTG_MEASUREMENTS
+    assert CostModel(count_local_ops=True).attempt_cost(tally) == want
+
+
+@pytest.mark.parametrize("model", [CostModel(), CostModel(count_local_ops=True)], ids=repr)
+def test_expected_cost_refuses_net_success_underflow(model):
+    # p_net underflows to 0.0 with no stage failing; K would be inf
+    with pytest.raises(SuccessProbabilityError, match="underflowed"):
+        expected_cost(PumpSchedule.single(100, 1000), ChannelParams(0.9), MILD, model)
+
+
+def test_monte_carlo_charges_the_cost_model_per_attempt():
+    # one seed draws the same attempts under either model, and each attempt
+    # costs 11 pairs or 55 pairs, gates and measurements
+    base = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4)
+    full = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD,
+                                  CostModel(count_local_ops=True), trials=3000, seed=4)
+    assert full == pytest.approx(base * 55 / 11, rel=1e-12)
