@@ -16,11 +16,12 @@ A landscape is evaluated as one search over lane arrays: every grid
 fidelity (of a contour: every level and fidelity) is a lane holding its own
 bracket, and each step pumps the local error rates of all live lanes
 (:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
-rate in a batch.  ``threshold_curve`` pumps the 24-point scan of every
-fidelity in one pass, rate by rate, and then bisects every bracket together;
-``level_crossing`` does the same for the doubling and bisection of the
-contours.  Each point is bitwise the point a search of that fidelity alone
-finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
+rate in a batch.  Both sweeps ask where a lane's verdict turns from pass to
+fail, and :func:`_crossings` answers both: it scans a fixed rate grid (24
+geometric rates for thresholds, the doubling rates 0, 1e-5, 2e-5, ... for
+contours), then bisects every bracket together.  Each point is bitwise the
+point a search of that fidelity alone finds; ``threshold_pg`` and
+``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -226,8 +227,8 @@ def pipeline_passes(
     return bool(_passes(schedule, ChannelParams(F).f_ini[None], np.array([p_g]), p_M_rule, cond)[0])
 
 
-#: upper end of every search over the local error rate: the threshold scan
-#: grid's last point and the doubling cap of the level crossings
+#: upper end of every search over the local error rate: the last rate of
+#: both scan grids, the 24 threshold rates and the contours' doubling rates
 P_MAX = 0.05
 
 #: relative tolerance of the bisections (the default of the threshold
@@ -235,33 +236,53 @@ P_MAX = 0.05
 REL_TOL = 1e-4
 
 
+def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
+    """Where the verdict of each of n lanes turns from pass to fail.
+
+    ``passes(lanes, p)`` returns the verdicts of the lanes (an index array)
+    at the rates ``p``.  The lanes scan ``grid`` rate by rate, as many rates
+    per pass as fit in LANE_BLOCK lanes; with ``first_fail`` a lane leaves at
+    its first failing rate.  A lane that passes at ``grid[0]`` and turns once
+    is bracketed around its first fail, and all bracketed lanes bisect at
+    ``mean(lo, hi)`` together while ``wide(lo, hi)``.  Returns the verdicts at
+    ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every lane."""
+    flags = np.zeros((n, grid.size), dtype=bool)
+    live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
+    while live.size and j < grid.size:
+        rates = grid[j:j + step]  # lanes rate by rate, so a pump_at block builds few rates' maps
+        flags[live, j:j + step] = ok = passes(
+            np.tile(live, rates.size), np.repeat(rates, live.size)).reshape(rates.size, -1).T
+        live = live[ok.all(axis=1)] if first_fail else live
+        j += step
+    if first_fail:
+        flags = np.logical_and.accumulate(flags, axis=1)
+    bracketed = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
+    k = np.argmin(flags, axis=1)  # first failing scan rate
+    lo, hi = grid[k - 1], grid[k]
+    go = bracketed & wide(lo, hi)
+    while go.any():
+        mid = mean(lo[go], hi[go])
+        ok = passes(np.flatnonzero(go), mid)
+        lo[go], hi[go] = np.where(ok, mid, lo[go]), np.where(ok, hi[go], mid)
+        go &= wide(lo, hi)
+    return flags[:, 0], bracketed, mean(lo, hi)
+
+
 def _thresholds(f_ini: np.ndarray, schedule: PumpSchedule, p_M_rule, cond, rel_tol: float):
     """Threshold of every lane (channel vector ``f_ini[b]``), all lanes
-    searched together: one pass pumps the 24-point scan of every lane, then
-    each bisection step pumps the midpoints of the lanes still bracketing.
-    A lane that fails at the first scan point has threshold 0; one whose
-    scan does not cross from pass to fail exactly once has NaN.  Raises
-    ValueError for a bad p_M rule, which no lane can pass."""
+    searched together by :func:`_crossings`: the 24-point geometric scan up
+    to P_MAX, then geometric bisection to relative tolerance rel_tol.  A lane
+    that fails at the first scan point has threshold 0; one whose scan does
+    not cross from pass to fail exactly once has NaN.  Raises ValueError for
+    a bad p_M rule, which no lane can pass."""
     p_M_of(p_M_rule, 0.0)
     cond = cond or ThresholdConditions()
-    n = len(f_ini)
-    if not n:
-        return np.zeros(0)
-    grid = np.geomspace(1e-6, P_MAX, 24)
-    # scan lanes rate by rate, so each block of pump_at builds few rates' maps
-    flags = _passes(
-        schedule, np.tile(f_ini, (grid.size, 1)), np.repeat(grid, n), p_M_rule, cond
-    ).reshape(grid.size, n).T
-    found = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
-    k = np.argmin(flags, axis=1)  # first failing scan point
-    lo, hi = grid[k - 1], grid[k]
-    go = found & (hi - lo > rel_tol * lo)
-    while go.any():
-        mid = np.sqrt(lo[go] * hi[go])
-        ok = _passes(schedule, f_ini[go], mid, p_M_rule, cond)
-        lo[go], hi[go] = np.where(ok, mid, lo[go]), np.where(ok, hi[go], mid)
-        go &= hi - lo > rel_tol * lo
-    return np.where(found, np.sqrt(lo * hi), np.where(flags[:, 0], math.nan, 0.0))
+    first, bracketed, th = _crossings(
+        lambda lanes, p: _passes(schedule, f_ini[lanes], p, p_M_rule, cond),
+        len(f_ini), np.geomspace(1e-6, P_MAX, 24),
+        lambda lo, hi: np.sqrt(lo * hi), lambda lo, hi: hi - lo > rel_tol * lo, first_fail=False,
+    )
+    return np.where(bracketed, th, np.where(first, math.nan, 0.0))
 
 
 def threshold_pg(
@@ -328,20 +349,26 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
 def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[float, float]]]:
     """Per level, the (F, p) points where ``read(lanes)``, a per-lane value of a
     :class:`Lanes` batch that grows with p_g = p_M, reaches it (inf where the
-    pumping underflowed): one :func:`level_crossing` over every (level, F)
-    lane, with the points not reached in (0, P_MAX] omitted."""
+    pumping underflowed): one :func:`_crossings` over every (level, F) lane,
+    which scans p = 0 and the doubling rates 1e-5 * 2**k up to P_MAX and
+    bisects arithmetically.  Points reached at p = 0 or not by P_MAX are omitted."""
     F_grid = list(F_grid)
     n = len(F_grid)
     f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
+    levels = np.asarray(levels, dtype=float)
+    goal = np.repeat(levels, n)  # lane k: level k // n, fidelity k % n
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def guarded(lanes: Lanes, _):
         return np.where(lanes.failed < 0, read(lanes), math.inf)
 
-    # lane k searches level k // n at fidelity k % n
-    found = level_crossing(lambda k, p: pump_at(schedule, f_ini[k % n], p, guarded), np.repeat(levels, n))
-    return [[(float(F), p) for F, p in zip(F_grid, found[k * n:]) if p is not None]
-            for k in range(len(levels))]
+    _, found, rates = _crossings(
+        lambda k, p: pump_at(schedule, f_ini[k % n], p, guarded) < goal[k],
+        goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
+    )
+    return [[(float(F), p) for F, p, ok in zip(F_grid, row, oks) if ok]
+            for row, oks in zip(rates.reshape(levels.size, n).tolist(), found.reshape(levels.size, n))]
 
 
 def contour_infidelity(schedules, level: float, F_grid) -> list[list[tuple[float, float]]]:
@@ -356,34 +383,3 @@ def contour_infidelity(schedules, level: float, F_grid) -> list[list[tuple[float
         raise ValueError(f"contour level must lie in (0, 1], got {level}")
     F_grid = list(F_grid)
     return [contours(s, [level], F_grid, lambda lanes: 1.0 - lanes.f_out[:, 0])[0] for s in schedules]
-
-
-def level_crossing(value, levels) -> list[float | None]:
-    """Local error rate where each lane's increasing value reaches its level.
-
-    ``value(lanes, p)`` returns the values of the given lanes (an index
-    array) at the local error rates ``p``, with inf where a lane's success
-    probability underflowed.  Each lane evaluates p = 0, then doubles p from
-    1e-5 up to P_MAX until its level is reached, then bisects arithmetically
-    to relative tolerance REL_TOL and returns the midpoint; it returns None
-    when the level is reached already at p = 0 or not at any doubling step.
-    Every step evaluates all live lanes in one call of ``value``.
-    """
-    levels = np.asarray(levels, dtype=float)
-    lo, hi = np.zeros(levels.size), np.zeros(levels.size)
-    bracketed = np.zeros(levels.size, dtype=bool)
-    live = np.ones(levels.size, dtype=bool)
-    while live.any():
-        lanes = np.flatnonzero(live)
-        bisecting = bracketed[lanes]
-        p = np.where(bisecting, 0.5 * (lo[lanes] + hi[lanes]), hi[lanes])
-        below = value(lanes, p) < levels[lanes]
-        lo[lanes] = np.where(below, p, lo[lanes])
-        # an unbracketed lane below its level doubles: 0, 1e-5, 2e-5, ...
-        doubled = np.maximum(2.0 * p, 1e-5)
-        hi[lanes] = np.where(below, np.where(bisecting, hi[lanes], doubled), p)
-        bracketed[lanes] = bisecting | ~below
-        live &= np.where(bracketed, hi - lo > REL_TOL * hi, hi <= P_MAX)
-    # a level reached already at p = 0 leaves the empty bracket [0, 0]
-    mid = (0.5 * (lo + hi)).tolist()
-    return [m if found and h > 0.0 else None for m, found, h in zip(mid, bracketed, hi)]

@@ -1,5 +1,7 @@
-"""Every ``distqc`` command in the README's usage block runs and exits 0."""
+"""Every ``distqc`` command in the README's usage block runs and exits 0, and
+every ``python`` block runs without an error."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -25,3 +27,17 @@ def test_readme_command_exits_zero(capsys, argv):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert captured.out
+
+
+def readme_python_blocks() -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+
+
+def test_readme_has_a_library_example():
+    assert readme_python_blocks()
+
+
+@pytest.mark.parametrize("code", readme_python_blocks())
+def test_readme_python_block_runs(capsys, code):
+    exec(compile(code, str(README), "exec"), {})
+    assert capsys.readouterr().out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distqc import purify, threshold
 from distqc.pauli import ChannelParams, depolarizing_noise
@@ -312,8 +312,8 @@ def test_cost_contour_levels_equal_separate_contours(schedule, levels, grid, mod
     grid=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=5),
 )
 def test_infidelity_contour_equals_pointwise_contours(schedules, level, grid):
-    # lanes leave the doubling and the bisection at different steps; each
-    # point must still be the one its fidelity finds alone
+    # lanes leave the scan of the doubling rates and the bisection at
+    # different steps; each point must still be the one its fidelity finds alone
     curves = contour_infidelity(schedules, level, grid)
     assert curves == [
         [pt for F in grid for pt in contour_infidelity([s], level, [F])[0]] for s in schedules
@@ -322,23 +322,30 @@ def test_infidelity_contour_equals_pointwise_contours(schedules, level, grid):
 
 def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     # every sweep pumps its lanes in blocks of at most LANE_BLOCK, and the
-    # block size changes no point
+    # block size changes no point; a scan pass holds as many rates as fit in
+    # LANE_BLOCK lanes, but at least one, so no pass exceeds the sweep's lanes
     grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
     levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
     curve = threshold_curve(SCHED_122, grid)
     cost = contour_expected_cost(SCHED_122, levels, cost_grid, model)
-    batches = []
-    pump_lanes = threshold.pump_lanes
+    batches, passes = [], []
+    pump_lanes, pump_at = threshold.pump_lanes, threshold.pump_at
 
     def recorded(schedule, f_ini, noises, index):
         batches.append(len(f_ini))
         return pump_lanes(schedule, f_ini, noises, index)
 
+    def recorded_pass(schedule, f_ini, p_g, read, p_M_rule="equal"):
+        passes.append(len(p_g))
+        return pump_at(schedule, f_ini, p_g, read, p_M_rule)
+
     monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
+    monkeypatch.setattr(threshold, "pump_at", recorded_pass)
     assert threshold_curve(SCHED_122, grid) == curve
     assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
     assert max(batches) == 7
+    assert max(passes) <= len(levels) * len(cost_grid) == 12
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
@@ -358,3 +365,107 @@ def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
     monkeypatch.setattr(purify, "_build_maps", recorded)
     assert threshold_curve(SCHED_3414, grid) == curve
     assert sum(built) == 24
+
+
+# --- the crossing search against plain per-lane references -------------------------
+
+def reference_threshold(ok, rel_tol=threshold.REL_TOL):
+    """One lane's threshold search, point by point: the 24-point geometric
+    scan, 0 on a fail at its first point, NaN unless it turns exactly once,
+    then geometric bisection of the bracket around the first fail."""
+    grid = np.geomspace(1e-6, threshold.P_MAX, 24)
+    flags = [ok(p) for p in grid]
+    if not flags[0]:
+        return 0.0
+    if sum(a != b for a, b in zip(flags, flags[1:])) != 1:
+        return math.nan
+    k = flags.index(False)
+    lo, hi = grid[k - 1], grid[k]
+    while hi - lo > rel_tol * lo:
+        mid = np.sqrt(lo * hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return np.sqrt(lo * hi)
+
+
+def reference_crossing(ok):
+    """One lane's level crossing, step by step: None on a fail at p = 0, then
+    p doubles from 1e-5 while it passes, None once it passes P_MAX, then
+    arithmetic bisection of the bracket around the first fail."""
+    if not ok(0.0):
+        return None
+    lo, p = 0.0, 1e-5
+    while ok(p):
+        lo, p = p, 2.0 * p
+        if p > threshold.P_MAX:
+            return None
+    hi = p
+    while hi - lo > threshold.REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+# rates at which a synthetic value steps: some scan rates of either search,
+# so steps land on the grid points themselves, and arbitrary rates.  None
+# lies in (0, 1e-9): a contour bracket shrinking to a subnormal hi never
+# meets its stop test hi - lo > REL_TOL * hi, and no pumped value crosses
+# its level that close to p = 0
+STEP_RATES = st.one_of(
+    st.sampled_from([0.0, 1e-5, 4e-5, 0.02048, 0.04096, threshold.P_MAX]),
+    st.sampled_from(np.geomspace(1e-6, threshold.P_MAX, 24).tolist()),
+    st.floats(1e-9, 0.06),
+)
+
+
+@st.composite
+def step_values(draw):
+    """A piecewise-constant value of the rate p: ``values[i]`` on the i-th
+    interval between the sorted ``steps``; any shape, monotone or not."""
+    steps = sorted(draw(st.lists(STEP_RATES, max_size=4)))
+    return steps, draw(st.lists(st.floats(0.0, 3.0), min_size=len(steps) + 1, max_size=len(steps) + 1))
+
+
+def value_at(value, p):
+    steps, values = value
+    return values[np.searchsorted(steps, p, side="right")]
+
+
+# per lane: monotone, re-passing after its first fail, failing at the first
+# rate and never failing (with level 1)
+SHAPES = [([1e-3], [0.0, 2.0]), ([1e-4, 2e-3], [0.0, 2.0, 0.0]), ([], [2.0]), ([], [0.0])]
+
+
+@pytest.mark.parametrize("block", [threshold.LANE_BLOCK, 7])
+@settings(deadline=None, max_examples=60)
+@example(values=SHAPES, levels=[1.0])
+@example(values=SHAPES, levels=[1.0, 2.5, 0.5])
+@given(values=st.lists(step_values(), min_size=1, max_size=8),
+       levels=st.lists(st.floats(0.0, 3.0), min_size=1, max_size=3))
+def test_crossing_searches_equal_per_lane_references(block, values, levels):
+    # thresholds and contours as their sweeps search them, on synthetic
+    # verdicts; at block 7 the scan runs in passes of a few rates, with lanes
+    # leaving the contour scan after a failing pass
+    n = len(values)
+    F_grid = [0.5 + i / 64 for i in range(n)]
+    f_ini = np.repeat(np.arange(n, dtype=float)[:, None], 4, axis=1)  # row i: lane i
+
+    def passes(schedule, f, p, p_M_rule, cond):
+        return np.array([value_at(values[int(i)], x) < 1.0 for i, x in zip(f[:, 0], p)], dtype=bool)
+
+    def pumped(schedule, f, p, read):
+        lanes = np.searchsorted(F_grid, f[:, 0])
+        return np.array([value_at(values[i], x) for i, x in zip(lanes, p)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threshold, "LANE_BLOCK", block)
+        mp.setattr(threshold, "_passes", passes)
+        mp.setattr(threshold, "pump_at", pumped)
+        th = threshold._thresholds(f_ini, SCHED_122, "equal", None, threshold.REL_TOL)
+        curves = threshold.contours(SCHED_122, levels, F_grid, None)
+    for i, v in enumerate(values):
+        assert same_float(th[i], reference_threshold(lambda p: value_at(v, p) < 1.0))
+    assert curves == [
+        [(F, p) for F, v in zip(F_grid, values)
+         if (p := reference_crossing(lambda p: value_at(v, p) < level)) is not None]
+        for level in levels
+    ]
