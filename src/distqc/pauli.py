@@ -138,8 +138,6 @@ def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
     uniformly (each entry p_g/15)."""
     if not 0.0 <= p_g < 1.0:
         raise ValueError(f"p_g must lie in [0, 1), got {p_g}")
-    if not 0.0 <= p_M < 1.0:
-        raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
     table = np.full((4, 4), p_g / 15.0)
     table[0, 0] = 1.0 - p_g
     return NoiseParams(p_table=table, p_M=p_M)

@@ -95,49 +95,46 @@ class SuccessProbabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class PumpSchedule:
-    """Repetition counts for entanglement pumping.
+    """Repetition counts for entanglement pumping; the number of counts
+    names the scheme.
 
-    scheme "single" uses counts (n1, n2): n1 level-1 rounds checking bit
-    flips, then n2 Hadamard-twisted level-2 rounds checking phase flips.
-    scheme "double" uses counts (n1, m1, m2): m1 level-1 double-selection
-    rounds on the target, n1 single-selection rounds producing the level-2
-    ancilla, and m2 level-2 double-selection rounds.
+    Two counts (n1, n2) are a "single" schedule: n1 level-1 rounds checking
+    bit flips, then n2 Hadamard-twisted level-2 rounds checking phase flips.
+    Three counts (n1, m1, m2) are a "double" schedule: m1 level-1
+    double-selection rounds on the target, n1 single-selection rounds
+    producing the level-2 ancilla, and m2 level-2 double-selection rounds.
     """
 
-    scheme: str
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.scheme not in ("single", "double"):
-            raise ValueError(f"unknown pump scheme {self.scheme!r}")
-        want = 2 if self.scheme == "single" else 3
-        if len(self.counts) != want:
-            raise ValueError(
-                f"{self.scheme} schedule needs {want} counts, got {self.counts}"
-            )
+        if len(self.counts) not in (2, 3):
+            raise ValueError(f"a schedule has 2 (single) or 3 (double) counts, got {self.counts}")
         if any(c < 0 or int(c) != c for c in self.counts):
             raise ValueError(f"repetition counts must be non-negative integers: {self.counts}")
         if sum(self.counts) > MAX_ROUNDS:
             raise ValueError(f"schedule {self.counts} exceeds MAX_ROUNDS = {MAX_ROUNDS} rounds")
         object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
+    @property
+    def scheme(self) -> str:
+        return "single" if len(self.counts) == 2 else "double"
+
     @classmethod
     def single(cls, n1: int, n2: int) -> "PumpSchedule":
-        return cls("single", (n1, n2))
+        return cls((n1, n2))
 
     @classmethod
     def double(cls, n1: int, m1: int, m2: int) -> "PumpSchedule":
-        return cls("double", (n1, m1, m2))
+        return cls((n1, m1, m2))
 
     @classmethod
     def parse(cls, text: str) -> "PumpSchedule":
         """Parse 'n1,n2' as a single schedule or 'n1,m1,m2' as a double one."""
-        parts = [int(p) for p in text.split(",")]
-        if len(parts) == 2:
-            return cls.single(*parts)
-        if len(parts) == 3:
-            return cls.double(*parts)
-        raise ValueError(f"schedule must have 2 or 3 comma-separated counts: {text!r}")
+        counts = tuple(int(p) for p in text.split(","))
+        if len(counts) not in (2, 3):
+            raise ValueError(f"schedule must have 2 or 3 comma-separated counts: {text!r}")
+        return cls(counts)
 
 
 @dataclass(frozen=True)
@@ -433,16 +430,17 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
     """Run a stage program on every lane: lane b starts its fresh pairs from
     ``f_ini[b]`` and uses the round tensors ``maps[name][..., index[b]]``.
     Vectors are (4, B) and tensors carry the lanes last, so each round is one
-    einsum over contiguous lanes into a ring of ROUND_BLOCK (4, B) buffers;
-    each pass round the ring is summed at once, and the round sums give the
-    stage's conditionals, probability and failures."""
+    einsum over contiguous lanes into a ring of (4, B) buffers, one per round
+    of the longest stage up to ROUND_BLOCK; each pass round the ring is
+    summed at once, and the round sums give the stage's conditionals,
+    probability and failures."""
     n = len(f_ini)
     f_ini = np.ascontiguousarray(f_ini.T)
     outputs = {}
     probs = []
     conditionals = []
     failed = np.full(n, -1)
-    ring = np.empty((ROUND_BLOCK, 4, n))
+    ring = np.empty((min(ROUND_BLOCK, max(stage.rounds for stage in program.stages)), 4, n))
     product = np.empty((4, 4, 4, 4, n)) if "D" in maps else None
     for s, stage in enumerate(program.stages):
         double = stage.tensor == "D"
@@ -456,14 +454,14 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
         # and its later entries are NaN
         sums = np.ones((stage.rounds + 1, n))
         for r in range(stage.rounds):
-            k = r % ROUND_BLOCK
+            k = r % len(ring)
             if double:  # the product einsum forms first, in one reused buffer
                 tensor.take(index, axis=-1, out=product, mode="wrap")
                 f = np.einsum("ijkln,jn,kn->ln", np.multiply(product, f[:, None, None, None], out=product),
                               *ancillas, out=ring[k])
             else:
                 f = np.einsum("ijkn,in,jn->kn", tensor, f, *ancillas, out=ring[k])
-            if k == ROUND_BLOCK - 1 or r == stage.rounds - 1:
+            if k == len(ring) - 1 or r == stage.rounds - 1:
                 ring[:k + 1].sum(axis=1, out=sums[r - k + 1:r + 2])
         failed[(failed < 0) & (sums <= 0.0).any(axis=0)] = s
         outputs[stage.name] = f / sums[-1]

@@ -12,7 +12,8 @@ noise components flip the teleportation measurements:
 
 * kind I:   starts a syndrome round; the syndrome-side output is prepared
             fresh from the pair half, so only the data-side gate and
-            measurement contribute noise.
+            measurement contribute noise: kind I is kind III without the
+            syndrome side.
 * kind II:  both sides measure in the Z basis after Hadamard-completed gates.
 * kind III: the data side measures in the X basis directly.
 
@@ -52,7 +53,12 @@ SYNDROME_GATE_KINDS = {
 
 
 class TableMismatchError(RuntimeError):
-    """Circuit-propagated table disagrees with the closed form."""
+    """Circuit-propagated table of ``kind`` deviates from the closed form by
+    ``deviation`` (the largest entry difference)."""
+
+    def __init__(self, kind: GateKind, deviation: float):
+        super().__init__(f"kind {kind.value}: circuit table deviates from the closed form by {deviation:.3e}")
+        self.deviation = deviation
 
 
 @dataclass(frozen=True)
@@ -112,36 +118,29 @@ def gate_error_table(
 
     ``noise`` supplies the data-side gate table p and the measurement error;
     ``noise2`` (defaulting to ``noise``) supplies the syndrome-side table p'.
-    Cells the circuit cannot populate at first order are exactly zero.
+    Cells the circuit cannot populate at first order are exactly zero.  Kind
+    I is kind III without the syndrome side: its syndrome output is prepared
+    fresh, so the syndrome-side table and measurement error are zero there.
     """
     f = as_fidelity_vector(f_bar)
     P = noise.p_table
     Q = (noise2 or noise).p_table
-    pM = noise.p_M
-    t = np.zeros((4, 4))
-
+    pM = pM_s = noise.p_M
     if kind == GateKind.I:
-        t[I, X] = P[X, I] + P[X, X]
-        t[I, Y] = P[Y, I] + P[Y, X]
-        t[I, Z] = f[1] + P[Z, I] + P[Z, X]
-        t[Z, I] = f[3] + P[X, Y] + P[X, Z]
-        t[Z, X] = pM + P[I, Y] + P[I, Z]
-        t[Z, Y] = P[Z, Y] + P[Z, Z]
-        t[Z, Z] = f[2] + P[Y, Y] + P[Y, Z]
-        return t
-
+        Q, pM_s = np.zeros((4, 4)), 0.0
     if kind == GateKind.II:
         no_flip, flip = (I, Z), (X, Y)
-    elif kind == GateKind.III:
+    elif kind in (GateKind.I, GateKind.III):
         no_flip, flip = (I, X), (Y, Z)
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 
+    t = np.zeros((4, 4))
     t[I, X] = P[X, no_flip[0]] + P[X, no_flip[1]]
     t[I, Y] = P[Y, no_flip[0]] + P[Y, no_flip[1]]
     t[I, Z] = f[1] + P[Z, no_flip[0]] + P[Z, no_flip[1]] + Q[X, X] + Q[Y, X]
     t[X, I] = Q[I, X] + Q[Z, X]
-    t[X, Z] = pM + Q[X, I] + Q[Y, I]
+    t[X, Z] = pM_s + Q[X, I] + Q[Y, I]
     t[Y, I] = Q[I, Y] + Q[Z, Y]
     t[Y, Z] = Q[X, Z] + Q[Y, Z]
     t[Z, I] = f[3] + P[X, flip[0]] + P[X, flip[1]] + Q[I, Z] + Q[Z, Z]
@@ -289,10 +288,7 @@ def gate_error_table_from_circuit(
     closed = gate_error_table(kind, f_bar, noise, noise2)
     delta = np.abs(t - closed).max()
     if delta > 1e-12:
-        raise TableMismatchError(
-            f"kind {kind.value}: circuit table deviates from the closed form "
-            f"by {delta:.3e}"
-        )
+        raise TableMismatchError(kind, delta)
     return t
 
 

@@ -244,8 +244,10 @@ def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     per pass as fit in LANE_BLOCK lanes; with ``first_fail`` a lane leaves at
     its first failing rate.  A lane that passes at ``grid[0]`` and turns once
     is bracketed around its first fail, and all bracketed lanes bisect at
-    ``mean(lo, hi)`` together while ``wide(lo, hi)``.  Returns the verdicts at
-    ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every lane."""
+    ``mean(lo, hi)`` together while ``wide(lo, hi)`` and the midpoint moves
+    (near 0, subnormal rates stop it before ``wide`` does).  Returns the
+    verdicts at ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every
+    lane."""
     flags = np.zeros((n, grid.size), dtype=bool)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
@@ -263,8 +265,9 @@ def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     while go.any():
         mid = mean(lo[go], hi[go])
         ok = passes(np.flatnonzero(go), mid)
+        moved = (mid != lo[go]) & (mid != hi[go])  # a midpoint rounded onto an end stops its lane
         lo[go], hi[go] = np.where(ok, mid, lo[go]), np.where(ok, hi[go], mid)
-        go &= wide(lo, hi)
+        go[go] = moved & wide(lo[go], hi[go])
     return flags[:, 0], bracketed, mean(lo, hi)
 
 

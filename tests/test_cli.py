@@ -1,11 +1,12 @@
 import json
+import re
 import time
 import warnings
 
 import numpy as np
 import pytest
 
-from distqc import cli
+from distqc import cli, telegate
 from distqc.cli import MAX_GRID, build_parser, main
 
 
@@ -152,6 +153,42 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "FAIL" not in out
     assert out.count("PASS") == 5
+
+
+# kind I layouts with one fault each: the data-side measurement in the wrong
+# basis (a uniform gate table cannot see it) and its flip correction in the
+# syndrome-side frame (any table with p_M > 0 shows it)
+WRONG_BASIS = (
+    ("cz", telegate._B_IN, telegate._ED),
+    ("noise", "p", (telegate._ED, telegate._B_IN)),
+    ("measure", telegate._B_IN, "Z", telegate._FRAME_DATA),
+)
+WRONG_FRAME = (
+    ("cz", telegate._B_IN, telegate._ED),
+    ("noise", "p", (telegate._ED, telegate._B_IN)),
+    ("measure", telegate._B_IN, "X", telegate._FRAME_SYNDROME),
+)
+
+
+@pytest.mark.parametrize("layout", [WRONG_BASIS, WRONG_FRAME], ids=["basis", "frame"])
+def test_verify_fails_on_a_broken_gate_layout(capsys, monkeypatch, layout):
+    # verify draws general tables, and a failing suite reports the deviation
+    # of its failing points, not that of the points that passed
+    monkeypatch.setitem(telegate._LAYOUTS, telegate.GateKind.I, layout)
+    code, out = run(capsys, "verify")
+    assert code == 2
+    [line] = [line for line in out.splitlines() if line.startswith("FAIL")]
+    match = re.fullmatch(r"FAIL  gate error tables vs circuit propagation  \(max dev (\S+)\)", line)
+    assert match and float(match[1]) > 1e-12
+    assert out.count("PASS") == 4
+
+
+def test_ttg_maps_a_table_mismatch_to_exit_two(capsys, monkeypatch):
+    monkeypatch.setitem(telegate._LAYOUTS, telegate.GateKind.I, WRONG_FRAME)
+    code = main(["ttg", "--kind", "I", "--F", "0.9"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("internal discrepancy: kind I: circuit table deviates")
 
 
 # stdout recorded before the sweeps were evaluated lane by lane; every byte,
@@ -376,6 +413,17 @@ def test_underflow_reports_only_the_error(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == "error: level-2 single pumping: success probability underflowed to 0\n"
+
+
+@pytest.mark.parametrize("grid, err", [
+    ("0.7:1.0", "error: grid must be start:stop:count, got '0.7:1.0'\n"),
+    ("0.7:1.0:0", "error: grid count must be at least 1, got 0\n"),
+])
+def test_malformed_grid_is_refused(capsys, grid, err):
+    code = main(["threshold-curve", "--schedule", "2,4", "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == err
 
 
 def test_schedule_beyond_the_round_cap_is_refused(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -333,12 +334,21 @@ def test_returned_tensors_belong_to_the_caller():
 def test_pump_schedule_parsing():
     assert PumpSchedule.parse("3,4") == PumpSchedule.single(3, 4)
     assert PumpSchedule.parse("1,2,2") == PumpSchedule.double(1, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="2 or 3 comma-separated counts: '1'"):
         PumpSchedule.parse("1")
     with pytest.raises(ValueError):
         PumpSchedule.single(-1, 2)
-    with pytest.raises(ValueError):
-        PumpSchedule("triple", (1, 2, 3))
+
+
+def test_pump_schedule_is_its_counts():
+    # the number of counts names the scheme; no other field restates it
+    assert [f.name for f in dataclasses.fields(PumpSchedule)] == ["counts"]
+    assert PumpSchedule((3, 4)) == PumpSchedule.single(3, 4)
+    assert PumpSchedule((3, 4)).scheme == "single"
+    assert PumpSchedule((1, 2, 2)).scheme == "double"
+    for counts in ((), (1,), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="2 \\(single\\) or 3 \\(double\\) counts"):
+            PumpSchedule(counts)
 
 
 def test_schedule_rounds_are_capped():
@@ -470,6 +480,22 @@ def test_round_block_does_not_change_a_bit(monkeypatch, ring):
     monkeypatch.setattr(purify, "ROUND_BLOCK", ring)
     for schedule, expected in zip(schedules, whole):
         assert_same_result(pump(channel, schedule, noise), expected)
+
+
+def test_round_ring_is_sized_by_the_longest_stage():
+    # a (2, 4) pass keeps 4 rounds in its ring, not ROUND_BLOCK: at 1024
+    # lanes a full ring alone is 2 MB
+    schedule, n = PumpSchedule.single(2, 4), 1024
+    f_ini = np.tile(ChannelParams(0.9).f_ini, (n, 1))
+    pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))  # compile the program first
+    tracemalloc.start()
+    try:
+        lanes = pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    assert_same_result(lanes.result(n - 1), pump(ChannelParams(0.9), schedule, MILD))
 
 
 # --- bitwise references for the lane engine ---------------------------------

@@ -122,6 +122,18 @@ def test_circuit_oracle_agrees_for_general_noise_tables(kind):
         assert np.abs(closed - circuit).max() < 1e-12
 
 
+def test_kind_one_is_kind_three_without_the_syndrome_side():
+    # kind I prepares its syndrome output fresh: kind III with a noiseless
+    # syndrome-side gate and no syndrome-side measurement flip, bit for bit
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        f_bar, _ = random_point(rng)
+        noise = general_noise(rng)
+        three = gate_error_table(GateKind.III, f_bar, noise, NOISELESS)
+        three[X, Z] -= noise.p_M
+        np.testing.assert_array_equal(gate_error_table(GateKind.I, f_bar, noise, general_noise(rng)), three)
+
+
 def test_circuit_oracle_mismatch_raises(monkeypatch):
     import distqc.telegate as tg
 
@@ -133,8 +145,10 @@ def test_circuit_oracle_mismatch_raises(monkeypatch):
     monkeypatch.setitem(tg._LAYOUTS, GateKind.I, broken)
     # a uniform gate table is blind to the measurement basis; use a skewed one
     noise = general_noise(np.random.default_rng(0))
-    with pytest.raises(TableMismatchError):
+    with pytest.raises(TableMismatchError) as mismatch:
         gate_error_table_from_circuit(GateKind.I, [0.99, 0.005, 0.003, 0.002], noise)
+    assert mismatch.value.deviation > 1e-12
+    assert str(mismatch.value).endswith(f"by {mismatch.value.deviation:.3e}")
 
 
 @pytest.mark.parametrize("kind", list(GateKind))

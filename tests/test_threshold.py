@@ -408,8 +408,9 @@ def reference_crossing(ok):
 # rates at which a synthetic value steps: some scan rates of either search,
 # so steps land on the grid points themselves, and arbitrary rates.  None
 # lies in (0, 1e-9): a contour bracket shrinking to a subnormal hi never
-# meets its stop test hi - lo > REL_TOL * hi, and no pumped value crosses
-# its level that close to p = 0
+# meets the reference's stop test hi - lo > REL_TOL * hi (the driver's stop
+# on a midpoint that no longer moves is tested below), and no pumped value
+# crosses its level that close to p = 0
 STEP_RATES = st.one_of(
     st.sampled_from([0.0, 1e-5, 4e-5, 0.02048, 0.04096, threshold.P_MAX]),
     st.sampled_from(np.geomspace(1e-6, threshold.P_MAX, 24).tolist()),
@@ -469,3 +470,31 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
          if (p := reference_crossing(lambda p: value_at(v, p) < level)) is not None]
         for level in levels
     ]
+
+
+def test_contour_bisection_ends_when_its_midpoint_stops_moving():
+    # a crossing a few subnormals above p = 0: REL_TOL * hi underflows to 0,
+    # so hi - lo > REL_TOL * hi holds for ever, and 0.5 * (lo + hi) rounds
+    # onto an end of the bracket; only the midpoint stop ends the lane
+    calls = []
+
+    def passes(lanes, p):
+        calls.append(p)
+        if len(calls) > 3000:
+            pytest.fail("the bisection did not end within 3000 steps")
+        return p < 1e-323
+
+    first, found, rates = threshold._crossings(
+        passes, 1, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > threshold.REL_TOL * hi, first_fail=True,
+    )
+    assert first[0] and found[0]
+    assert 5e-324 <= rates[0] <= 1e-323
+
+
+def test_threshold_pg_refuses_a_verdict_that_turns_twice(monkeypatch):
+    # a verdict that passes again above its first fail has no single
+    # crossing to bisect
+    monkeypatch.setattr(threshold, "_passes", lambda schedule, f, p, rule, cond: (p < 1e-4) | (p > 1e-2))
+    with pytest.raises(NonMonotoneIndicatorError, match="does not cross exactly once"):
+        threshold_pg(0.9, SCHED_122)
