@@ -70,6 +70,8 @@ def _parse_grid(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {text!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {text!r}")
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be at least 1, got {count}")
@@ -244,7 +246,9 @@ def _cmd_infidelity_contour(args) -> int:
 def _cmd_resource(args) -> int:
     schedule = PumpSchedule.parse(args.schedule)
     model = CostModel(count_local_ops=args.count_local_ops)
-    if args.levels:
+    if args.levels is not None:
+        if not args.levels.strip():
+            raise ValueError("--levels needs at least one level")
         if not args.grid:
             raise ValueError("--levels requires --grid")
         levels = [float(x) for x in args.levels.split(",")]

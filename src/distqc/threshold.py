@@ -19,9 +19,11 @@ bracket, and each step pumps the local error rates of all live lanes
 rate in a batch.  Both sweeps ask where a lane's verdict turns from pass to
 fail, and :func:`_crossings` answers both: it scans a fixed rate grid (24
 geometric rates for thresholds, the doubling rates 0, 1e-5, 2e-5, ... for
-contours), then bisects every bracket together.  Each point is bitwise the
-point a search of that fidelity alone finds; ``threshold_pg`` and
-``pipeline_passes`` are the one-lane calls.
+contours), then bisects every bracket together, two steps per pass: one
+pass pumps the midpoint and both quarter points of every bracket, the
+quarter point on the side the midpoint's verdict keeps being the next
+midpoint.  Each point is bitwise the point a search of that fidelity alone
+finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise
+from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_tables
 from .purify import Lanes, PumpSchedule, pump_lanes
 from .telegate import SYNDROME_GATE_KINDS, GateAggregates, aggregates, gate_error_table
 
@@ -203,8 +205,8 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equa
     for b in range(0, len(p_g), LANE_BLOCK):
         p = p_g[b:b + LANE_BLOCK]
         points, index = np.unique(p, return_inverse=True)
-        noises = [depolarizing_noise(x, p_M_of(p_M_rule, x)) for x in points]
-        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], noises, index), p))
+        p_tables, p_M = depolarizing_tables(points), np.broadcast_to(p_M_of(p_M_rule, points), points.shape)
+        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], p_tables, p_M, index), p))
     return np.concatenate(reads)
 
 
@@ -245,9 +247,11 @@ def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     its first failing rate.  A lane that passes at ``grid[0]`` and turns once
     is bracketed around its first fail, and all bracketed lanes bisect at
     ``mean(lo, hi)`` together while ``wide(lo, hi)`` and the midpoint moves
-    (near 0, subnormal rates stop it before ``wide`` does).  Returns the
-    verdicts at ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every
-    lane."""
+    (near 0, subnormal rates stop it before ``wide`` does).  Each pass takes
+    two steps: it pumps the midpoint and the two quarter points, and takes
+    the second step, at the quarter point inside the new bracket, only
+    where the first step leaves the lane bisecting.  Returns the verdicts at
+    ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every lane."""
     flags = np.zeros((n, grid.size), dtype=bool)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
@@ -262,12 +266,17 @@ def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     k = np.argmin(flags, axis=1)  # first failing scan rate
     lo, hi = grid[k - 1], grid[k]
     go = bracketed & wide(lo, hi)
-    while go.any():
-        mid = mean(lo[go], hi[go])
-        ok = passes(np.flatnonzero(go), mid)
-        moved = (mid != lo[go]) & (mid != hi[go])  # a midpoint rounded onto an end stops its lane
-        lo[go], hi[go] = np.where(ok, mid, lo[go]), np.where(ok, hi[go], mid)
-        go[go] = moved & wide(lo[go], hi[go])
+    while go.any():  # two bisection steps per pass: the midpoint and both quarter points
+        l, h = lo[go], hi[go]
+        mid = mean(l, h)
+        q1, q3 = mean(l, mid), mean(mid, h)
+        ok, ok1, ok3 = passes(np.tile(np.flatnonzero(go), 3), np.concatenate([mid, q1, q3])).reshape(3, -1)
+        on = (mid != l) & (mid != h)  # a midpoint rounded onto an end stops its lane
+        l, h = np.where(ok, mid, l), np.where(ok, h, mid)
+        on &= wide(l, h)
+        mid, ok = np.where(ok, q3, q1), np.where(ok, ok3, ok1)  # mean(l, h) of the new bracket
+        lo[go], hi[go] = np.where(on & ok, mid, l), np.where(on & ~ok, mid, h)
+        go[go] = on & (mid != l) & (mid != h) & wide(lo[go], hi[go])
     return flags[:, 0], bracketed, mean(lo, hi)
 
 

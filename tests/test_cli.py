@@ -418,6 +418,9 @@ def test_underflow_reports_only_the_error(capsys):
 @pytest.mark.parametrize("grid, err", [
     ("0.7:1.0", "error: grid must be start:stop:count, got '0.7:1.0'\n"),
     ("0.7:1.0:0", "error: grid count must be at least 1, got 0\n"),
+    ("nan:0.95:3", "error: grid start and stop must be finite, got 'nan:0.95:3'\n"),
+    ("0.9:inf:3", "error: grid start and stop must be finite, got '0.9:inf:3'\n"),
+    ("0.9:-inf:2", "error: grid start and stop must be finite, got '0.9:-inf:2'\n"),
 ])
 def test_malformed_grid_is_refused(capsys, grid, err):
     code = main(["threshold-curve", "--schedule", "2,4", "--grid", grid])
@@ -451,6 +454,15 @@ def test_grid_beyond_its_cap_is_refused(capsys, command, count):
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: grid count {count} exceeds MAX_GRID = 100000 points\n"
     assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("levels", ["", " "])
+def test_empty_level_list_is_refused(capsys, levels):
+    # an empty --levels is a contour request without levels, not a point query
+    code = main(["resource", "--schedule", "2,4", "--levels", levels, "--grid", "0.9:0.95:3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: --levels needs at least one level\n"
 
 
 def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch):

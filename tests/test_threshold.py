@@ -323,29 +323,41 @@ def test_infidelity_contour_equals_pointwise_contours(schedules, level, grid):
 def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     # every sweep pumps its lanes in blocks of at most LANE_BLOCK, and the
     # block size changes no point; a scan pass holds as many rates as fit in
-    # LANE_BLOCK lanes, but at least one, so no pass exceeds the sweep's lanes
+    # LANE_BLOCK lanes, but at least one, so no scan pass exceeds the sweep's
+    # lanes; a bisection pass pumps the midpoint and both quarter points of
+    # each bracket, so it holds at most 3 lanes per bracketed lane
     grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
     levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
     curve = threshold_curve(SCHED_122, grid)
     cost = contour_expected_cost(SCHED_122, levels, cost_grid, model)
-    batches, passes = [], []
-    pump_lanes, pump_at = threshold.pump_lanes, threshold.pump_at
+    batches, searches = [], []
+    pump_lanes, crossings = threshold.pump_lanes, threshold._crossings
 
-    def recorded(schedule, f_ini, noises, index):
+    def recorded(schedule, f_ini, p_tables, p_M, index):
         batches.append(len(f_ini))
-        return pump_lanes(schedule, f_ini, noises, index)
+        return pump_lanes(schedule, f_ini, p_tables, p_M, index)
 
-    def recorded_pass(schedule, f_ini, p_g, read, p_M_rule="equal"):
-        passes.append(len(p_g))
-        return pump_at(schedule, f_ini, p_g, read, p_M_rule)
+    def recorded_search(passes, n, scan, *args, **kwargs):
+        sizes = []  # (a scan pass, lanes) of every pass
+
+        def recorded_pass(lanes, p):
+            sizes.append((np.isin(p, scan).all(), len(p)))
+            return passes(lanes, p)
+
+        result = crossings(recorded_pass, n, scan, *args, **kwargs)
+        searches.append((sizes, result[1].sum()))
+        return result
 
     monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
-    monkeypatch.setattr(threshold, "pump_at", recorded_pass)
+    monkeypatch.setattr(threshold, "_crossings", recorded_search)
     assert threshold_curve(SCHED_122, grid) == curve
     assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
     assert max(batches) == 7
-    assert max(passes) <= len(levels) * len(cost_grid) == 12
+    scans = [size for sizes, _ in searches for on_scan, size in sizes if on_scan]
+    steps = [(size, bracketed) for sizes, bracketed in searches for on_scan, size in sizes if not on_scan]
+    assert max(scans) <= len(levels) * len(cost_grid) == 12
+    assert steps and all(size <= 3 * bracketed for size, bracketed in steps)
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
