@@ -133,23 +133,14 @@ class NoiseParams:
         return float(self.p_table.sum() - self.p_table[0, 0])
 
 
-def depolarizing_tables(p_g) -> np.ndarray:
-    """Gate error tables of the rates ``p_g``, a number or an array, with
-    the 15 non-identity errors sharing each rate uniformly (each entry
-    p_g/15): shape ``p_g.shape + (4, 4)``."""
-    p = np.asarray(p_g, dtype=float)
-    bad = ~((0.0 <= p) & (p < 1.0))
-    if bad.any():
-        raise ValueError(f"p_g must lie in [0, 1), got {p_g if p.ndim == 0 else p[bad][0]}")
-    tables = np.empty(p.shape + (4, 4))
-    tables[...] = (p / 15.0)[..., None, None]
-    tables[..., 0, 0] = 1.0 - p
-    return tables
-
-
 def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
-    """Build NoiseParams with the table of :func:`depolarizing_tables`."""
-    return NoiseParams(p_table=depolarizing_tables(p_g), p_M=p_M)
+    """Build NoiseParams with the 15 non-identity gate errors sharing p_g
+    uniformly (each entry p_g/15)."""
+    if not 0.0 <= p_g < 1.0:
+        raise ValueError(f"p_g must lie in [0, 1), got {p_g}")
+    table = np.full((4, 4), p_g / 15.0)
+    table[0, 0] = 1.0 - p_g
+    return NoiseParams(p_table=table, p_M=p_M)
 
 
 def effective_pg(p_g: float, eta: float, l_wait: int) -> float:

@@ -45,9 +45,8 @@ the joint success probability of its rounds.
 The interpreter works on lanes, each an independent pumping run with its
 own channel vector and round tensors; every array carries the lane axis
 last, contiguous in memory.  :func:`pump_lanes` pumps a batch of lanes in
-one pass from arrays of noise points (gate error tables and measurement
-errors) and builds the round tensors once per point; :func:`pump` is the
-one-lane call.  Each round is one einsum whose inner
+one pass and builds the round tensors once per distinct noise point;
+:func:`pump` is the one-lane call.  Each round is one einsum whose inner
 loop runs along the lanes; the rounds are summed ROUND_BLOCK at a time, and
 the rest of the bookkeeping (conditionals, stage probabilities, failures) is
 done once per stage.  A lane's result is bitwise the result of pumping it
@@ -477,23 +476,23 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
     )
 
 
-def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, p_tables: np.ndarray, p_M, index) -> Lanes:
+def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lanes:
     """Pump every lane in one interpreter pass: lane b starts from the
-    channel vector ``f_ini[b]`` under the noise point ``index[b]``, whose
-    gate error table is ``p_tables[index[b]]`` and measurement error
-    ``p_M[index[b]]`` (valid noise, as :class:`NoiseParams` checks it).
+    channel vector ``f_ini[b]`` under the noise ``noises[index[b]]``.
 
-    The round tensors are built once per noise point (D for double
+    The round tensors are built once per entry of ``noises`` (D for double
     schedules only) and gathered to the lanes.
     """
-    maps = _build_maps(np.asarray(p_tables), np.asarray(p_M), schedule.scheme == "double")
+    maps = _build_maps(
+        np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]), schedule.scheme == "double"
+    )
     return _interpret(stage_program(schedule), f_ini, maps, index)
 
 
 def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
     """Two-level entanglement pumping: interpret the schedule's stage
     program (see the module docstring) on one lane."""
-    return pump_lanes(schedule, channel.f_ini[None], noise.p_table[None], [noise.p_M], [0]).result(0)
+    return pump_lanes(schedule, channel.f_ini[None], [noise], [0]).result(0)
 
 
 def pump_single(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_tables
+from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise
 from .purify import Lanes, PumpSchedule, pump_lanes
 from .telegate import SYNDROME_GATE_KINDS, GateAggregates, aggregates, gate_error_table
 
@@ -205,8 +205,8 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equa
     for b in range(0, len(p_g), LANE_BLOCK):
         p = p_g[b:b + LANE_BLOCK]
         points, index = np.unique(p, return_inverse=True)
-        p_tables, p_M = depolarizing_tables(points), np.broadcast_to(p_M_of(p_M_rule, points), points.shape)
-        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], p_tables, p_M, index), p))
+        noises = [depolarizing_noise(x, p_M_of(p_M_rule, x)) for x in points]
+        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], noises, index), p))
     return np.concatenate(reads)
 
 

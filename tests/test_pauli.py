@@ -1,9 +1,5 @@
-import math
-import re
-
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import (
     ChannelParams,
@@ -11,7 +7,6 @@ from distqc.pauli import (
     as_fidelity_vector,
     cnot_propagate,
     depolarizing_noise,
-    depolarizing_tables,
     effective_pg,
     hadamard_propagate,
     label_mul,
@@ -92,29 +87,6 @@ def test_depolarizing_noise_normalized(p_g):
 def test_depolarizing_noise_rejects_bad_inputs(p_g, p_M):
     with pytest.raises(ValueError):
         depolarizing_noise(p_g, p_M)
-
-
-@settings(max_examples=200)
-@given(rates=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20))
-def test_depolarizing_tables_are_the_scalar_tables(rates):
-    # each row is bit for bit the table of its rate alone, and the table
-    # written out entry by entry
-    tables = depolarizing_tables(np.array(rates))
-    assert tables.shape == (len(rates), 4, 4)
-    for p, table in zip(rates, tables):
-        written = np.full((4, 4), p / 15.0)
-        written[0, 0] = 1.0 - p
-        assert table.tobytes() == depolarizing_noise(p, 0.0).p_table.tobytes() == written.tobytes()
-
-
-@pytest.mark.parametrize("bad", [math.nan, -0.1, -5e-324, 1.0, 1.5, math.inf])
-def test_depolarizing_tables_refuse_rates_outside_the_unit_interval(bad):
-    # an array is refused at its first bad rate with the message of one rate
-    message = f"^{re.escape(f'p_g must lie in [0, 1), got {bad}')}$"
-    with pytest.raises(ValueError, match=message):
-        depolarizing_noise(bad, 0.0)
-    with pytest.raises(ValueError, match=message):
-        depolarizing_tables(np.array([0.5, bad, 0.2, -1.0]))
 
 
 def test_effective_pg():

@@ -453,11 +453,10 @@ def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
         f_ini.append(PURE_X)
         noises.append(NOISELESS)
     f_ini = np.array(f_ini)
-    p_tables, p_M = np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises])
     index = np.arange(len(noises))[::-1]
-    lanes = pump_lanes(schedule, f_ini, p_tables[::-1], p_M[::-1], index)
+    lanes = pump_lanes(schedule, f_ini, noises[::-1], index)
     for b, noise in enumerate(noises):
-        alone = pump_lanes(schedule, f_ini[b:b + 1], noise.p_table[None], [noise.p_M], [0])
+        alone = pump_lanes(schedule, f_ini[b:b + 1], [noise], [0])
         assert lanes.failed[b] == alone.failed[0]
         if alone.failed[0] >= 0:
             with pytest.raises(SuccessProbabilityError) as lane_error:
@@ -488,11 +487,10 @@ def test_round_ring_is_sized_by_the_longest_stage():
     # lanes a full ring alone is 2 MB
     schedule, n = PumpSchedule.single(2, 4), 1024
     f_ini = np.tile(ChannelParams(0.9).f_ini, (n, 1))
-    mild = MILD.p_table[None], [MILD.p_M], np.zeros(n, dtype=int)
-    pump_lanes(schedule, f_ini, *mild)  # compile the program first
+    pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))  # compile the program first
     tracemalloc.start()
     try:
-        lanes = pump_lanes(schedule, f_ini, *mild)
+        lanes = pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

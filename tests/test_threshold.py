@@ -333,9 +333,9 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     batches, searches = [], []
     pump_lanes, crossings = threshold.pump_lanes, threshold._crossings
 
-    def recorded(schedule, f_ini, p_tables, p_M, index):
+    def recorded(schedule, f_ini, noises, index):
         batches.append(len(f_ini))
-        return pump_lanes(schedule, f_ini, p_tables, p_M, index)
+        return pump_lanes(schedule, f_ini, noises, index)
 
     def recorded_search(passes, n, scan, *args, **kwargs):
         sizes = []  # (a scan pass, lanes) of every pass
