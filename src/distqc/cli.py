@@ -18,42 +18,12 @@ import numpy as np
 
 from . import __version__
 from .pauli import ChannelParams, NoiseParams, depolarizing_noise, effective_pg
-from .purify import (
-    PumpSchedule,
-    SuccessProbabilityError,
-    double_selection,
-    double_selection_tensor,
-    enumerate_double_map,
-    enumerate_single_map,
-    pump,
-    sample_double_selection,
-    single_selection_tensor,
-)
-from .telegate import (
-    GateKind,
-    TableMismatchError,
-    aggregates,
-    gate_error_table,
-    gate_error_table_from_circuit,
-)
-from .threshold import (
-    ThresholdConditions,
-    check_ft,
-    contour_infidelity,
-    p_M_of,
-    q_values,
-    raussendorf_q_values,
-    threshold_curve,
-)
-from .resources import (
-    CostModel,
-    T_PER_PI8_AT_THIRD_THRESHOLD,
-    contour_expected_cost,
-    expected_cost,
-    shor_gate_count,
-    simulate_expected_cost,
-    total_overhead,
-)
+from .purify import PumpSchedule, SuccessProbabilityError, pump
+from .telegate import (GateKind, TableMismatchError, aggregates, gate_error_table,
+                        gate_error_table_from_circuit)
+from .threshold import ThresholdConditions, check_ft, contour_infidelity, p_M_of, q_values, threshold_curve
+from .resources import (CostModel, T_PER_PI8_AT_THIRD_THRESHOLD, contour_expected_cost, expected_cost,
+                        shor_gate_count, simulate_expected_cost, total_overhead)
 
 
 def _fmt(x: float) -> str:
@@ -77,9 +47,10 @@ def _parse_grid(text: str) -> list[float]:
         raise ValueError(f"grid count must be at least 1, got {count}")
     if count > MAX_GRID:
         raise ValueError(f"grid count {count} exceeds MAX_GRID = {MAX_GRID} points")
-    if count == 1:
-        return [start]
-    return [start + (stop - start) * i / (count - 1) for i in range(count)]
+    points = [start] if count == 1 else [start + (stop - start) * i / (count - 1) for i in range(count)]
+    if not np.isfinite(points).all():
+        raise ValueError(f"grid span and points must be finite, got {text!r}")
+    return points
 
 
 def _parse_pm(text: str):
@@ -291,60 +262,15 @@ def _cmd_resource(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    """Run the oracle-equivalence suites and report per-suite pass/fail."""
-    failures = 0
+    """Run the oracle suites in order on one generator and report each."""
+    from .oracles import SUITES  # imported here, so that no other command pays for it
     rng = np.random.default_rng(args.seed)
-
-    def report(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail and not ok:
-            line += f"  ({detail})"
-        print(line)
-        if not ok:
-            failures += 1
-
-    noise = depolarizing_noise(1.5e-3, 1.2e-3)
-    S = single_selection_tensor(noise)
-    S_or = enumerate_single_map(noise)
-    report("single-selection tensor vs exhaustive enumeration",
-           bool(np.abs(S - S_or).max() < 1e-12), f"max dev {np.abs(S - S_or).max():.2e}")
-
-    D = double_selection_tensor(noise)
-    D_or = enumerate_double_map(noise)
-    report("double-selection tensor vs exhaustive enumeration",
-           bool(np.abs(D - D_or).max() < 1e-12), f"max dev {np.abs(D - D_or).max():.2e}")
-
-    target, ancilla = (0.85, 0.05, 0.05, 0.05), (0.9, 0.1 / 3, 0.1 / 3, 0.1 / 3)
-    f, p = sample_double_selection(target, ancilla, ancilla, noise, 10**6, rng)
-    fd_n, _ = double_selection(target, ancilla, ancilla, noise)
-    sigma = np.sqrt(fd_n * (1 - fd_n) / (10**6 * p))
-    report("double-selection Monte Carlo spot check (4 sigma)",
-           bool(np.all(np.abs(f - fd_n) < 4 * sigma + 1e-9)))
-
-    worst = 0.0
-    for kind in GateKind:
-        for _ in range(20):
-            tail = rng.uniform(0, 0.01, 3)
-            f_bar = np.array([1 - tail.sum(), *tail])
-            # general data- and syndrome-side tables: a uniform one is blind to the measurement bases
-            tables = rng.uniform(0, 1e-3, (2, 4, 4))
-            tables[:, 0, 0] = 0.0
-            tables[:, 0, 0] = 1.0 - tables.sum(axis=(1, 2))
-            nz, nz2 = NoiseParams(tables[0], rng.uniform(0, 0.02)), NoiseParams(tables[1], 0.0)
-            try:
-                circ = gate_error_table_from_circuit(kind, f_bar, nz, nz2)
-                dev = float(np.abs(circ - gate_error_table(kind, f_bar, nz, nz2)).max())
-            except TableMismatchError as exc:
-                dev = exc.deviation
-            worst = max(worst, dev)
-    report("gate error tables vs circuit propagation", worst <= 1e-12, f"max dev {worst:.2e}")
-
-    q = raussendorf_q_values(0.0075)
-    report("baseline syndrome-round regression",
-           bool(abs(q.qa - 0.023) < 1e-15 * 0.023 and abs(q.qab - 0.0040) < 1e-15 * 0.0040))
-
-    return 2 if failures else 0
+    verdicts = []
+    for name, suite, passes in SUITES:
+        deviation, tolerance = suite(rng)
+        verdicts.append(passes(deviation, tolerance))
+        print(f"PASS  {name}" if verdicts[-1] else f"FAIL  {name}  (max dev {deviation:.2e})")
+    return 0 if all(verdicts) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -563,6 +563,7 @@ def enumerate_double_map(noise: NoiseParams) -> np.ndarray:
     add_c = np.broadcast_to(MUL_TABLE[uA, _H[uB]], full).ravel()
     add_t = np.broadcast_to(MUL_TABLE[vA, _H[vB]], full).ravel()
 
+    w = draw_w[:, None] * draw_w[None, :]  # (gate-1 draws, gate-2 draws)
     D = np.zeros((4, 4, 4, 4))
     for i in range(4):
         for j in range(4):
@@ -575,20 +576,20 @@ def enumerate_double_map(noise: NoiseParams) -> np.ndarray:
                 # broadcast gate-2 draws against gate-1 draws
                 k2 = MUL_TABLE[k1[:, None], add_c[None, :]]
                 b3 = MUL_TABLE[b2[:, None], add_t[None, :]]
-                w = draw_w[:, None] * draw_w[None, :]
                 odd_z = X_COMPONENT[b3].astype(bool)  # ancilla 1, Z check
                 odd_x = Z_COMPONENT[k2].astype(bool)  # ancilla 2, X check
                 out = _H[a1]
+                # an observed parity is even iff the true parity equals the flip
+                # parity: the draw weight each pair of flip parities accepts
+                kept = {(z, x): np.where((odd_z == z) & (odd_x == x), w, 0.0).sum(axis=1)
+                        for z in (False, True) for x in (False, True)}
                 for f1 in (0, 1):
                     for f2 in (0, 1):
-                        # observed Z-check parity even iff true parity equals the flip parity
-                        ok_z = odd_z == bool(f1 ^ f2)
                         w12 = flip_w[f1] * flip_w[f2]
                         for f3 in (0, 1):
                             for f4 in (0, 1):
-                                ok = ok_z & (odd_x == bool(f3 ^ f4))
                                 ww = w12 * flip_w[f3] * flip_w[f4]
-                                masked = np.where(ok, w, 0.0).sum(axis=1)
+                                masked = kept[bool(f1 ^ f2), bool(f3 ^ f4)]
                                 for lab in range(4):
                                     D[i, j, k, lab] += ww * masked[out == lab].sum()
     return D

@@ -77,18 +77,11 @@ class GateAggregates:
     p_xbarz: float
 
 
-_CLASS = {
-    "z": (Y, Z),
-    "zbar": (I, X),
-    "x": (X, Y),
-    "xbar": (I, Z),
-}
+_CLASS = {"z": (Y, Z), "zbar": (I, X), "x": (X, Y), "xbar": (I, Z)}
 
 
 def _class_sum(table: np.ndarray, row_class: str, col_class: str) -> float:
-    rows = _CLASS[row_class]
-    cols = _CLASS[col_class]
-    return float(table[np.ix_(rows, cols)].sum())
+    return float(table[np.ix_(_CLASS[row_class], _CLASS[col_class])].sum())
 
 
 def aggregates(table: np.ndarray) -> GateAggregates:
@@ -200,11 +193,8 @@ _LAYOUTS = {
 def _propagate(ops, start_index: int, labels: dict[int, int]) -> tuple[int, int]:
     """Push a sparse Pauli through the ops from ``start_index`` on; returns
     the resulting (syndrome, data) output error including flip corrections."""
-    x = {q: _X_BIT[l] for q, l in labels.items()}
-    z = {q: _Z_BIT[l] for q, l in labels.items()}
-    for q in (_A_IN, _ES, _ED, _B_IN):
-        x.setdefault(q, 0)
-        z.setdefault(q, 0)
+    x = [_X_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
+    z = [_Z_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
     frame = [I, I]
     for op in ops[start_index:]:
         if op[0] == "cz":

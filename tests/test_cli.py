@@ -8,6 +8,7 @@ import pytest
 
 from distqc import cli, telegate
 from distqc.cli import MAX_GRID, build_parser, main
+from distqc.oracles import SUITES
 
 
 def run(capsys, *argv):
@@ -152,7 +153,7 @@ def test_verify_passes(capsys):
     code, out = run(capsys, "verify")
     assert code == 0
     assert "FAIL" not in out
-    assert out.count("PASS") == 5
+    assert out.count("PASS") == len(SUITES)
 
 
 # kind I layouts with one fault each: the data-side measurement in the wrong
@@ -180,7 +181,7 @@ def test_verify_fails_on_a_broken_gate_layout(capsys, monkeypatch, layout):
     [line] = [line for line in out.splitlines() if line.startswith("FAIL")]
     match = re.fullmatch(r"FAIL  gate error tables vs circuit propagation  \(max dev (\S+)\)", line)
     assert match and float(match[1]) > 1e-12
-    assert out.count("PASS") == 4
+    assert out.count("PASS") == len(SUITES) - 1
 
 
 def test_ttg_maps_a_table_mismatch_to_exit_two(capsys, monkeypatch):
@@ -421,9 +422,16 @@ def test_underflow_reports_only_the_error(capsys):
     ("nan:0.95:3", "error: grid start and stop must be finite, got 'nan:0.95:3'\n"),
     ("0.9:inf:3", "error: grid start and stop must be finite, got '0.9:inf:3'\n"),
     ("0.9:-inf:2", "error: grid start and stop must be finite, got '0.9:-inf:2'\n"),
+    ("1e308:-1e308:3", "error: grid span and points must be finite, got '1e308:-1e308:3'\n"),
+    ("0:1e308:3", "error: grid span and points must be finite, got '0:1e308:3'\n"),
 ])
-def test_malformed_grid_is_refused(capsys, grid, err):
-    code = main(["threshold-curve", "--schedule", "2,4", "--grid", grid])
+@pytest.mark.parametrize("command", [
+    ["threshold-curve", "--schedule", "2,4"],
+    ["infidelity-contour", "--schedule", "2,4"],
+    ["resource", "--schedule", "2,4", "--levels", "30"],
+], ids=lambda argv: argv[0])
+def test_malformed_grid_is_refused(capsys, command, grid, err):
+    code = main([*command, "--grid", grid])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == err

@@ -147,18 +147,11 @@ def test_tensor_contractions_are_subnormalized():
 
 # --- exhaustive-enumeration oracles ---------------------------------------
 
-@pytest.mark.parametrize("noise", [NOISELESS, MILD, depolarizing_noise(0.01, 0.004)])
-def test_single_tensor_vs_enumeration(noise):
-    S = single_selection_tensor(noise)
-    S_oracle = enumerate_single_map(noise)
-    assert np.abs(S - S_oracle).max() < 1e-12
-
-
-@pytest.mark.parametrize("noise", [NOISELESS, MILD])
-def test_double_tensor_vs_enumeration(noise):
-    D = double_selection_tensor(noise)
-    D_oracle = enumerate_double_map(noise)
-    assert np.abs(D - D_oracle).max() < 1e-12
+# the registered suites (distqc.oracles) check depolarizing noise; these
+# check the noiseless and a skewed table
+def test_tensors_vs_enumeration_without_noise():
+    assert np.abs(single_selection_tensor(NOISELESS) - enumerate_single_map(NOISELESS)).max() < 1e-12
+    assert np.abs(double_selection_tensor(NOISELESS) - enumerate_double_map(NOISELESS)).max() < 1e-12
 
 
 def test_tensors_vs_enumeration_for_asymmetric_noise():

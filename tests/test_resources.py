@@ -5,7 +5,7 @@ import pytest
 
 from distqc.pauli import ChannelParams, depolarizing_noise
 from distqc import resources
-from distqc.purify import OpsTally, PumpSchedule, SuccessProbabilityError
+from distqc.purify import OpsTally, PumpSchedule, SuccessProbabilityError, pump
 from distqc.resources import (
     CostModel,
     T_PER_PI8_AT_THIRD_THRESHOLD,
@@ -35,6 +35,21 @@ def test_expected_cost_at_least_nominal():
         K = expected_cost(schedule, ChannelParams(0.95), MILD)
         nominal = expected_cost(schedule, ChannelParams(1.0), depolarizing_noise(0, 0))
         assert K >= nominal
+
+
+@pytest.mark.parametrize("scale, refused", [(1 - 1e-9, True), (1 + 1e-9, False)])
+def test_monte_carlo_draw_budget_at_its_edge(monkeypatch, scale, refused):
+    # the refusal estimates trials * rounds / p_net draws; a budget just below
+    # that refuses and one just above runs
+    trials = 100
+    result = pump(ChannelParams(0.9), SCHED_122, MILD)
+    estimate = trials * len(result.round_chain()) / result.p_net
+    monkeypatch.setattr(resources, "MC_DRAW_BUDGET", estimate * scale)
+    if refused:
+        with pytest.raises(ValueError, match="over the budget"):
+            simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=trials)
+    else:
+        assert simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=trials) > 0
 
 
 def test_expected_cost_monte_carlo_agreement():

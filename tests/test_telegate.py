@@ -109,19 +109,6 @@ def test_circuit_oracle_agrees_with_tables(kind):
         assert np.abs(closed - circuit).max() < 1e-12
 
 
-@pytest.mark.parametrize("kind", list(GateKind))
-def test_circuit_oracle_agrees_for_general_noise_tables(kind):
-    rng = np.random.default_rng(29)
-    for _ in range(10):
-        tail = rng.uniform(0, 0.01, 3)
-        f_bar = np.array([1 - tail.sum(), *tail])
-        noise = general_noise(rng)
-        noise2 = general_noise(rng)
-        closed = gate_error_table(kind, f_bar, noise, noise2)
-        circuit = gate_error_table_from_circuit(kind, f_bar, noise, noise2)
-        assert np.abs(closed - circuit).max() < 1e-12
-
-
 def test_kind_one_is_kind_three_without_the_syndrome_side():
     # kind I prepares its syndrome output fresh: kind III with a noiseless
     # syndrome-side gate and no syndrome-side measurement flip, bit for bit

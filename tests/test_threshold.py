@@ -11,6 +11,11 @@ from distqc.resources import CostModel, contour_expected_cost
 from distqc.telegate import GateKind, closed_form_aggregates
 from distqc.threshold import (
     DOUBLE_SCHEDULE_PRESETS,
+    QA_MAX,
+    QBC_MAX,
+    QCOR_BUDGET,
+    QCOR_MAX,
+    REL_TOL,
     SINGLE_SCHEDULE_PRESETS,
     NonMonotoneIndicatorError,
     QTuple,
@@ -105,12 +110,6 @@ def test_baseline_coefficients_exact():
     assert (q.qab, q.qac, q.qbb) == (8.0, 8.0, 8.0)
 
 
-def test_baseline_threshold_point():
-    q = raussendorf_q_values(0.0075)
-    assert abs(q.qa - 0.023) <= 1e-15 * 0.023
-    assert abs(q.qab - 0.0040) <= 1e-15 * 0.0040
-
-
 def test_baseline_gate_tables():
     even = raussendorf_gate_table(2, 0.015)
     assert np.count_nonzero(even) == 15
@@ -133,6 +132,23 @@ def test_check_ft_zero_passes():
 def test_check_ft_boundary_is_exclusive():
     assert not check_ft(raussendorf_q_values(0.0075), ThresholdConditions())
     assert check_ft(raussendorf_q_values(0.0074), ThresholdConditions())
+
+
+# each bound alone, the other rates 0, so that no other bound decides the verdict
+STRICT_BOUNDS = [
+    (1.0, "qa", QA_MAX), (1.0, "qb", QBC_MAX), (1.0, "qc", QBC_MAX),
+    *[(1.0, rate, QCOR_MAX) for rate in ("qab", "qac", "qbb")],
+    (1 / 3, "qa", 1 / 3 * QA_MAX),
+    *[(1 / 3, rate, 1 / 3 * QCOR_BUDGET) for rate in ("qab", "qac", "qbb")],
+]
+
+
+@pytest.mark.parametrize("margin, rate, bound", STRICT_BOUNDS)
+def test_each_bound_is_strict_on_its_own(margin, rate, bound):
+    cond = ThresholdConditions(margin=margin)
+    zero = dict.fromkeys(("qa", "qb", "qc", "qab", "qac", "qbb"), 0.0)
+    assert not check_ft(QTuple(**{**zero, rate: bound}), cond)
+    assert check_ft(QTuple(**{**zero, rate: np.nextafter(bound, 0)}), cond)
 
 
 def test_check_ft_monotone():
@@ -158,14 +174,26 @@ def test_check_ft_margin_semantics():
 
 # --- thresholds -------------------------------------------------------------------
 
+# q_corr = (8/15) p_g + p_M does not depend on the pumped pair, so at margin 1
+# no threshold passes the p_g where it reaches QCOR_MAX: 0.06/23 for p_M = p_g,
+# 0.005 for p_M = 4 p_g/15
+CAPS = {"equal": 0.06 / 23, "four_fifteenths": 0.005}
+
+
 def test_threshold_equal_rule():
-    th = threshold_pg(1.0, SCHED_122, "equal")
-    assert 0.00255 <= th <= 0.00265
+    assert threshold_pg(1.0, SCHED_122, "equal") == pytest.approx(CAPS["equal"], rel=REL_TOL)
 
 
 def test_threshold_four_fifteenths_rule():
     th = threshold_pg(1.0, SCHED_122, "four_fifteenths")
-    assert 0.00495 <= th <= 0.00505
+    assert th == pytest.approx(CAPS["four_fifteenths"], rel=REL_TOL)
+
+
+@pytest.mark.parametrize("rule", CAPS)
+def test_no_threshold_exceeds_the_correlated_cap(rule):
+    for schedule in SINGLE_SCHEDULE_PRESETS + DOUBLE_SCHEDULE_PRESETS:
+        for F, th in threshold_curve(schedule, np.linspace(0.7, 1.0, 7), rule):
+            assert th <= CAPS[rule] * (1 + REL_TOL), (schedule, F)
 
 
 def test_threshold_noisy_channel():
