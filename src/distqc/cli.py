@@ -273,7 +273,14 @@ def _cmd_verify(args) -> int:
     return 0 if all(verdicts) else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
+#: the subcommands, in the order ``build_parser`` registers them
+COMMANDS = ("pump", "ttg", "qvalues", "threshold-curve", "infidelity-contour", "resource", "verify")
+
+
+def build_parser(called: str | None = None) -> argparse.ArgumentParser:
+    """The ``distqc`` parser.  Every subcommand is registered with its help,
+    so the top-level help, usage and errors stay the same, but given the
+    name of the subcommand a call parses, only that one gets its options."""
     parser = argparse.ArgumentParser(
         prog="distqc",
         description="Purified-pair fidelities, teleported-gate error tables, "
@@ -291,9 +298,13 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     def command(name, func, help, inputs):
-        """A numeric subcommand; each of its options records that it was given."""
-        p = sub.add_parser(name, help=help)
+        """A numeric subcommand; each of its options records that it was given.
+        Returns its ``add_argument``, which adds nothing to a subcommand not built."""
+        built = called in (None, name)
+        p = sub.add_parser(name, help=help, add_help=built)
         p.set_defaults(func=func, given={})
+        if not built:
+            return lambda *flags, **kwargs: None
         add = functools.partial(p.add_argument, action=_Given)
         add("--out", default=None, help="output path (default stdout)")
         for flag in inputs:
@@ -339,15 +350,19 @@ def build_parser() -> argparse.ArgumentParser:
     add("--levels", default=None, help="emit K contours at these levels (CSV)")
     add("--grid", default=None, help="F grid start:stop:count for contours")
 
-    p = sub.add_parser("verify", help="run the oracle-equivalence suites")
-    p.add_argument("--seed", type=int, default=0)
+    built = called in (None, "verify")
+    p = sub.add_parser("verify", help="run the oracle-equivalence suites", add_help=built)
     p.set_defaults(func=_cmd_verify)
+    if built:
+        p.add_argument("--seed", type=int, default=0)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # --help, --version or a name that is no subcommand gets every option
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv, _Args())
     except SystemExit as exc:

@@ -374,9 +374,17 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
     def guarded(lanes: Lanes, _):
         return np.where(lanes.failed < 0, read(lanes), math.inf)
 
+    def passes(k, p):
+        """Pump each distinct (rate, fidelity) of lanes k once and compare
+        it with the level of every lane."""
+        if levels.size == 1:  # no two lanes share a fidelity
+            return pump_at(schedule, f_ini[k % n], p, guarded) < goal[k]
+        rate, r = np.unique(p, return_inverse=True)
+        key, same = np.unique(r * n + k % n, return_inverse=True)  # rate-major, as the lanes come
+        return pump_at(schedule, f_ini[key % n], rate[key // n], guarded)[same] < goal[k]
+
     _, found, rates = _crossings(
-        lambda k, p: pump_at(schedule, f_ini[k % n], p, guarded) < goal[k],
-        goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        passes, goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
         lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
     )
     return [[(float(F), p) for F, p, ok in zip(F_grid, row, oks) if ok]

@@ -1,10 +1,12 @@
 import json
 import re
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
+from test_readme import readme_commands
 
 from distqc import cli, telegate
 from distqc.cli import MAX_GRID, build_parser, main
@@ -405,6 +407,40 @@ def test_monte_carlo_refuses_negative_trials(capsys):
     assert captured.err.startswith("error: ") and "at least 1 trial" in captured.err
 
 
+def test_monte_carlo_accepts_one_trial(capsys):
+    # one trial is the fewest the cross-check runs
+    code, out = run(capsys, "resource", "--F", "0.9", "--pg", "1e-3", "--schedule", "1,2,2",
+                    "--mc-trials", "1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["mc_trials"] == 1 and payload["K_monte_carlo"] > 0
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["resource", "--schedule", "1,2,2", "--levels", "0", "--grid", "0.9:0.95:2"],
+     "error: contour level must be finite and positive, got 0.0\n"),
+    (["infidelity-contour", "--schedule", "1,2,2", "--level", "0", "--grid", "0.9:0.95:2"],
+     "error: contour level must lie in (0, 1], got 0.0\n"),
+], ids=["resource", "infidelity-contour"])
+def test_contour_level_zero_is_refused(capsys, argv, err):
+    # 0 is the open end of both families' level range
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == err
+
+
+@pytest.mark.parametrize("command", [
+    ["pump", "--F", "0.9", "--schedule", "1,2,2"],
+    ["threshold-curve", "--schedule", "1,2,2", "--grid", "0.9:1.0:2"],
+], ids=lambda argv: argv[0])
+def test_fixed_measurement_error_of_one_is_refused(capsys, command):
+    code = main([*command, "--pM", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: p_M must lie in [0, 1), got 1.0\n"
+
+
 def test_underflow_reports_only_the_error(capsys):
     # a lane whose success probability underflows ends in the error line
     # alone, without a numpy warning on the way
@@ -524,11 +560,46 @@ def test_nan_fidelity_vector_is_refused_with_a_reason(capsys, argv):
     assert captured.err.startswith("error: fidelity vector entries outside [0, 1]: ")
 
 
+def _subparsers(parser) -> dict:
+    """The subcommand parsers of ``parser``, by name."""
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
 def _subcommand_options() -> dict:
     """Each subcommand's options, as build_parser() defines them."""
-    sub = next(a for a in build_parser()._actions if a.dest == "command")
     return {name: {a.option_strings[0] for a in p._actions if a.dest != "help"}
-            for name, p in sub.choices.items()}
+            for name, p in _subparsers(build_parser()).items()}
+
+
+#: one README command line per subcommand (its last one)
+README_COMMANDS = {argv[0]: argv for argv in readme_commands()}
+
+
+def test_every_subcommand_is_named_and_in_the_readme():
+    assert tuple(_subparsers(build_parser())) == cli.COMMANDS
+    assert set(README_COMMANDS) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("name", cli.COMMANDS)
+def test_a_subcommand_parser_parses_as_the_full_parser(name):
+    # build_parser(name) gives only name its options: the top-level help,
+    # name's help and name's parsed README command stay the same
+    full, one = build_parser(), build_parser(name)
+    assert one.format_help() == full.format_help()
+    assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
+    argv = README_COMMANDS[name]
+    assert vars(one.parse_args(argv, cli._Args())) == vars(full.parse_args(argv, cli._Args()))
+
+
+@pytest.mark.parametrize("argv", [*README_COMMANDS.values(), ["--version"], ["--help"],
+                                  ["pump", "--help"], ["pump"], ["pum"], []], ids=" ".join)
+def test_main_reads_sys_argv_without_argv(capsys, monkeypatch, argv):
+    # the console script calls main() with no arguments
+    code = main(argv)
+    expected = capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["distqc", *argv])
+    assert main() == code
+    assert capsys.readouterr() == expected
 
 
 _POINT = ["--F", "0.9", "--pg", "1e-3", "--pM", "equal"]

@@ -173,8 +173,10 @@ def test_total_overhead():
     assert report.T == 6e21
     assert report.R == 2.4e23
     assert total_overhead(1.0, 1.0, 1.0).R == 1.0
-    with pytest.raises(ValueError):
-        total_overhead(0.0, 1.0, 1.0)
+    # K, T_per_gate and Omega must each be positive, also with the others at 1
+    for args in ((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            total_overhead(*args)
     # non-finite inputs, and a T or R that overflows a float
     for args in ((float("nan"), 1.0, 1.0), (40.0, float("nan"), 3e11),
                  (40.0, float("inf"), 3e11), (40.0, 2e10, 3e302), (1e300, 1e10, 1e10)):

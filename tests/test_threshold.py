@@ -22,6 +22,7 @@ from distqc.threshold import (
     ThresholdConditions,
     check_ft,
     contour_infidelity,
+    p_M_of,
     pipeline_passes,
     q_values,
     q_values_generic,
@@ -187,6 +188,15 @@ def test_threshold_equal_rule():
 def test_threshold_four_fifteenths_rule():
     th = threshold_pg(1.0, SCHED_122, "four_fifteenths")
     assert th == pytest.approx(CAPS["four_fifteenths"], rel=REL_TOL)
+
+
+def test_fixed_measurement_error_lies_below_one():
+    # a fixed p_M is a probability in [0, 1); NoiseParams refuses 1 too, so
+    # the rule must refuse it on its own
+    below = np.nextafter(1.0, 0.0)
+    assert p_M_of(below, 1e-3) == below
+    with pytest.raises(ValueError, match=r"p_M must lie in \[0, 1\), got 1.0"):
+        p_M_of(1.0, 1e-3)
 
 
 @pytest.mark.parametrize("rule", CAPS)
