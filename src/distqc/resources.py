@@ -35,7 +35,8 @@ TTG_MEASUREMENTS = 2
 #: most Bernoulli round draws the Monte Carlo cross-check may expect to make
 MC_DRAW_BUDGET = 10**9
 
-#: round draws the Monte Carlo cross-check makes at once, in whole attempts
+#: round draws the Monte Carlo cross-check makes at once, in whole attempts;
+#: also the most rounds one attempt may run
 MC_BLOCK_DRAWS = 2**16
 
 
@@ -106,14 +107,18 @@ def simulate_expected_cost(
     restarted on any failure; every started attempt pays the full attempt
     cost.  Averages the realised cost over ``trials`` delivered pairs.
 
-    Raises ValueError before drawing anything when the expected number of
-    round draws, trials * rounds / p_net, exceeds MC_DRAW_BUDGET.
+    Raises ValueError before drawing anything when one attempt runs more
+    rounds than MC_BLOCK_DRAWS, or when the expected number of round draws,
+    trials * rounds / p_net, exceeds MC_DRAW_BUDGET.
     """
     if trials < 1:
         raise ValueError(f"the Monte Carlo cross-check needs at least 1 trial, got {trials}")
     model = model or CostModel()
     result = pump(channel, schedule, noise)
     rounds = sum(m * s.rounds for m, s in zip(result.program.multiplicity, result.program.stages))
+    if rounds > MC_BLOCK_DRAWS:
+        raise ValueError(f"Monte Carlo cross-check refused: one attempt runs {rounds} rounds, "
+                         f"more than the block of MC_BLOCK_DRAWS = {MC_BLOCK_DRAWS} round draws")
     draws = trials * rounds / result.p_net if result.p_net > 0.0 else math.inf
     if draws > MC_DRAW_BUDGET:
         raise ValueError(
@@ -125,7 +130,7 @@ def simulate_expected_cost(
     rng = np.random.default_rng(seed)
     # consecutive row blocks of Generator.random continue one stream, so the
     # estimate does not depend on the block size
-    rows = max(1, MC_BLOCK_DRAWS // max(1, rounds))
+    rows = MC_BLOCK_DRAWS // max(1, rounds)
     alive = trials
     attempts = 0
     while alive:

@@ -1,8 +1,11 @@
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from test_readme import readme_commands
 from distqc import cli, telegate
 from distqc.cli import MAX_GRID, build_parser, main
 from distqc.oracles import SUITES
+from distqc.pauli import ChannelParams, depolarizing_noise
+from distqc.purify import PumpSchedule, pump
 
 
 def run(capsys, *argv):
@@ -191,7 +196,13 @@ def test_ttg_maps_a_table_mismatch_to_exit_two(capsys, monkeypatch):
     code = main(["ttg", "--kind", "I", "--F", "0.9"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("internal discrepancy: kind I: circuit table deviates")
+    noise = depolarizing_noise(1e-3, 1e-3)
+    f_bar = pump(ChannelParams(0.9), PumpSchedule.parse("1,2,2"), noise).f_out
+    dev = np.abs(telegate.gate_error_table_from_circuit(telegate.GateKind.I, f_bar, noise)
+                 - telegate.gate_error_table(telegate.GateKind.I, f_bar, noise)).max()
+    assert dev > 1e-12
+    assert captured.err == ("internal discrepancy: kind I: circuit table deviates from the closed form "
+                            f"by {dev:.3e}\n")
 
 
 # stdout recorded before the sweeps were evaluated lane by lane; every byte,
@@ -407,6 +418,20 @@ def test_monte_carlo_refuses_negative_trials(capsys):
     assert captured.err.startswith("error: ") and "at least 1 trial" in captured.err
 
 
+@pytest.mark.parametrize("n, refused", [(300, True), (250, False)])
+def test_monte_carlo_refuses_an_attempt_longer_than_a_block(capsys, n, refused):
+    # one attempt of schedule n,n runs n(1 + n) + n rounds: 90 600 for 300,300 and
+    # 63 000 for 250,250, against MC_BLOCK_DRAWS = 65 536
+    code = main(["resource", "--F", "1", "--pg", "0", "--schedule", f"{n},{n}", "--mc-trials", "1"])
+    captured = capsys.readouterr()
+    if refused:
+        assert code == 1 and captured.out == ""
+        assert captured.err == ("error: Monte Carlo cross-check refused: one attempt runs 90600 rounds, "
+                                "more than the block of MC_BLOCK_DRAWS = 65536 round draws\n")
+    else:
+        assert code == 0 and json.loads(captured.out)["K_monte_carlo"] > 0
+
+
 def test_monte_carlo_accepts_one_trial(capsys):
     # one trial is the fewest the cross-check runs
     code, out = run(capsys, "resource", "--F", "0.9", "--pg", "1e-3", "--schedule", "1,2,2",
@@ -573,6 +598,175 @@ def _subcommand_options() -> dict:
 
 #: one README command line per subcommand (its last one)
 README_COMMANDS = {argv[0]: argv for argv in readme_commands()}
+
+
+# the bytes of `distqc --help` and of each subcommand's --help at an 80-column
+# terminal, recorded before the subcommands were stated in one table
+PINNED_HELP = {
+    (): """\
+usage: distqc [-h] [--version]
+              {pump,ttg,qvalues,threshold-curve,infidelity-contour,resource,verify}
+              ...
+
+Purified-pair fidelities, teleported-gate error tables, fault-tolerance
+thresholds and resource overheads.
+
+positional arguments:
+  {pump,ttg,qvalues,threshold-curve,infidelity-contour,resource,verify}
+    pump                pumped fidelity vector and success probabilities
+    ttg                 teleported-gate output error table
+    qvalues             topological error-model rates and condition check
+    threshold-curve     threshold gate error over a fidelity grid
+    infidelity-contour  fixed-infidelity loci in the (F, p) plane
+    resource            expected cost per delivered pair and overheads
+    verify              run the oracle-equivalence suites
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    ("pump",): """\
+usage: distqc pump [-h] [--out OUT] [--F F] [--pg PG] [--pM PM] [--eta ETA]
+                   [--l-wait L_WAIT] --schedule SCHEDULE
+
+options:
+  -h, --help           show this help message and exit
+  --out OUT            output path (default stdout)
+  --F F                channel fidelity
+  --pg PG              two-qubit gate error probability
+  --pM PM              measurement error: 'equal', 'four_fifteenths' or a
+                       number
+  --eta ETA            memory error rate per step
+  --l-wait L_WAIT      waiting steps for memory error
+  --schedule SCHEDULE  n1,n2 (single) or n1,m1,m2 (double)
+""",
+    ("ttg",): """\
+usage: distqc ttg [-h] [--out OUT] [--F F] [--pg PG] [--pM PM] [--eta ETA]
+                  [--l-wait L_WAIT] --kind {I,II,III} [--fbar FBAR]
+                  [--schedule SCHEDULE]
+
+options:
+  -h, --help           show this help message and exit
+  --out OUT            output path (default stdout)
+  --F F                channel fidelity
+  --pg PG              two-qubit gate error probability
+  --pM PM              measurement error: 'equal', 'four_fifteenths' or a
+                       number
+  --eta ETA            memory error rate per step
+  --l-wait L_WAIT      waiting steps for memory error
+  --kind {I,II,III}
+  --fbar FBAR          explicit purified vector f0,f1,f2,f3
+  --schedule SCHEDULE  pump schedule when --fbar not given
+""",
+    ("qvalues",): """\
+usage: distqc qvalues [-h] [--out OUT] [--F F] [--pg PG] [--pM PM] [--eta ETA]
+                      [--l-wait L_WAIT] [--fbar FBAR] [--schedule SCHEDULE]
+                      [--margin MARGIN]
+
+options:
+  -h, --help           show this help message and exit
+  --out OUT            output path (default stdout)
+  --F F                channel fidelity
+  --pg PG              two-qubit gate error probability
+  --pM PM              measurement error: 'equal', 'four_fifteenths' or a
+                       number
+  --eta ETA            memory error rate per step
+  --l-wait L_WAIT      waiting steps for memory error
+  --fbar FBAR          explicit purified vector f0,f1,f2,f3
+  --schedule SCHEDULE  pump schedule when --fbar not given
+  --margin MARGIN
+""",
+    ("threshold-curve",): """\
+usage: distqc threshold-curve [-h] [--out OUT] [--pM PM] --schedule SCHEDULE
+                              --grid GRID [--margin MARGIN]
+
+options:
+  -h, --help           show this help message and exit
+  --out OUT            output path (default stdout)
+  --pM PM              measurement error: 'equal', 'four_fifteenths' or a
+                       number
+  --schedule SCHEDULE
+  --grid GRID          F grid start:stop:count
+  --margin MARGIN
+""",
+    ("infidelity-contour",): """\
+usage: distqc infidelity-contour [-h] [--out OUT] --schedule SCHEDULE
+                                 [--level LEVEL] --grid GRID
+
+options:
+  -h, --help           show this help message and exit
+  --out OUT            output path (default stdout)
+  --schedule SCHEDULE  repeatable: n1,n2 or n1,m1,m2
+  --level LEVEL
+  --grid GRID          F grid start:stop:count
+""",
+    ("resource",): """\
+usage: distqc resource [-h] [--out OUT] [--F F] [--pg PG] [--pM PM]
+                       [--eta ETA] [--l-wait L_WAIT] --schedule SCHEDULE
+                       [--count-local-ops] [--mc-trials MC_TRIALS]
+                       [--n-bits N_BITS] [--T-per-gate T_PER_GATE]
+                       [--seed SEED] [--levels LEVELS] [--grid GRID]
+
+options:
+  -h, --help            show this help message and exit
+  --out OUT             output path (default stdout)
+  --F F                 channel fidelity
+  --pg PG               two-qubit gate error probability
+  --pM PM               measurement error: 'equal', 'four_fifteenths' or a
+                        number
+  --eta ETA             memory error rate per step
+  --l-wait L_WAIT       waiting steps for memory error
+  --schedule SCHEDULE
+  --count-local-ops     count gates and measurements in addition to base pairs
+  --mc-trials MC_TRIALS
+                        cross-check K with this many Monte Carlo trials
+  --n-bits N_BITS       factoring size for overhead totals
+  --T-per-gate T_PER_GATE
+  --seed SEED           seed for the Monte Carlo cross-check
+  --levels LEVELS       emit K contours at these levels (CSV)
+  --grid GRID           F grid start:stop:count for contours
+""",
+    ("verify",): """\
+usage: distqc verify [-h] [--seed SEED]
+
+options:
+  -h, --help   show this help message and exit
+  --seed SEED
+""",
+}
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+@pytest.mark.parametrize("prefix", list(PINNED_HELP), ids=lambda prefix: " ".join(prefix) or "distqc")
+def test_help_is_pinned(capsys, monkeypatch, prefix, flag):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main([*prefix, flag]) == 0
+    assert capsys.readouterr() == (PINNED_HELP[prefix], "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["resource", "--schedule", "1,2,2", "--level", "30", "--grid", "0.85:0.99:3"],
+    ["resource", "--F", "0.9", "--sch", "1,2,2"],
+    ["--vers"],
+], ids=" ".join)
+def test_abbreviated_options_are_refused(capsys, argv):
+    # --level is infidelity-contour's option, not an abbreviation of --levels
+    assert main(argv) == 1
+    assert capsys.readouterr().out == ""
+
+
+def test_repeated_calls_parse_as_fresh_calls(capsys):
+    # the subcommand table is built once per process: a call must not see an
+    # earlier call's options, such as the --schedule list of this one
+    for schedules in (["1,2,2"], ["3,4", "2,2"]):
+        argv = ["infidelity-contour", *[a for s in schedules for a in ("--schedule", s)],
+                "--level", "1e-3", "--grid", "0.9:0.95:2"]
+        assert main(argv) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        fresh = subprocess.run([sys.executable, "-m", "distqc.cli", *argv], env=env,
+                               capture_output=True, text=True, check=True)
+        assert capsys.readouterr() == (fresh.stdout, fresh.stderr)
 
 
 def test_every_subcommand_is_named_and_in_the_readme():

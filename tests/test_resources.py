@@ -97,7 +97,8 @@ def test_monte_carlo_draws_in_bounded_blocks(monkeypatch):
     # the blocks continue one random stream: one-attempt blocks give the K
     # of a single block
     K = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4)
-    monkeypatch.setattr(resources, "MC_BLOCK_DRAWS", 1)
+    rounds = len(pump(ChannelParams(0.9), SCHED_122, MILD).round_chain())
+    monkeypatch.setattr(resources, "MC_BLOCK_DRAWS", rounds)
     assert simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=3000, seed=4) == K
 
 

@@ -5,7 +5,6 @@ from distqc.pauli import NoiseParams, depolarizing_noise
 from distqc.telegate import (
     SYNDROME_GATE_KINDS,
     GateKind,
-    TableMismatchError,
     aggregates,
     closed_form_aggregates,
     gate_error_table,
@@ -121,7 +120,7 @@ def test_kind_one_is_kind_three_without_the_syndrome_side():
         np.testing.assert_array_equal(gate_error_table(GateKind.I, f_bar, noise, general_noise(rng)), three)
 
 
-def test_circuit_oracle_mismatch_raises(monkeypatch):
+def test_circuit_oracle_shows_a_broken_layout(monkeypatch):
     import distqc.telegate as tg
 
     broken = (
@@ -132,10 +131,9 @@ def test_circuit_oracle_mismatch_raises(monkeypatch):
     monkeypatch.setitem(tg._LAYOUTS, GateKind.I, broken)
     # a uniform gate table is blind to the measurement basis; use a skewed one
     noise = general_noise(np.random.default_rng(0))
-    with pytest.raises(TableMismatchError) as mismatch:
-        gate_error_table_from_circuit(GateKind.I, [0.99, 0.005, 0.003, 0.002], noise)
-    assert mismatch.value.deviation > 1e-12
-    assert str(mismatch.value).endswith(f"by {mismatch.value.deviation:.3e}")
+    f_bar = [0.99, 0.005, 0.003, 0.002]
+    circuit = gate_error_table_from_circuit(GateKind.I, f_bar, noise)
+    assert np.abs(circuit - gate_error_table(GateKind.I, f_bar, noise)).max() > 1e-12
 
 
 @pytest.mark.parametrize("kind", list(GateKind))
