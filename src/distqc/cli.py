@@ -57,20 +57,6 @@ def _parse_pm(text: str):
     return float(text)
 
 
-class _Given(argparse.Action):
-    """Store an option's value (a flag stores its const, an option with a
-    list default collects its values) and record in ``args.given`` that the
-    option was given."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        if self.nargs == 0:
-            values = self.const
-        elif isinstance(self.default, list):
-            values = getattr(namespace, self.dest) + [values]
-        setattr(namespace, self.dest, values)
-        namespace.given = {**namespace.given, self.dest: self.option_strings[0]}
-
-
 class _Args(argparse.Namespace):
     """Parsed options that, once ``reads`` is set, record the name of every
     attribute read from them."""
@@ -308,13 +294,13 @@ SUBCOMMANDS = {
         "--margin": dict(type=float, default=1.0),
     }),
     "infidelity-contour": (_cmd_infidelity_contour, "fixed-infidelity loci in the (F, p) plane", {
-        **_OUT, "--schedule": dict(default=[], required=True, help="repeatable: n1,n2 or n1,m1,m2"),
+        **_OUT, "--schedule": dict(action="append", required=True, help="repeatable: n1,n2 or n1,m1,m2"),
         "--level": dict(type=float, default=1e-3),
         "--grid": dict(required=True, help="F grid start:stop:count"),
     }),
     "resource": (_cmd_resource, "expected cost per delivered pair and overheads", {
         **_OUT, **_POINT, "--schedule": dict(required=True),
-        "--count-local-ops": dict(nargs=0, const=True, default=False,
+        "--count-local-ops": dict(action="store_true", default=False,
                                   help="count gates and measurements in addition to base pairs"),
         "--mc-trials": dict(type=int, default=0, help="cross-check K with this many Monte Carlo trials"),
         "--n-bits": dict(type=int, default=0, help="factoring size for overhead totals"),
@@ -331,8 +317,8 @@ COMMANDS = tuple(SUBCOMMANDS)
 def build_parser(called: str | None = None) -> argparse.ArgumentParser:
     """The ``distqc`` parser.  Every subcommand is registered with its help,
     so the top-level help, usage and errors stay the same, but given the
-    name of the subcommand a call parses, only that one gets its options,
-    each of which records that it was given."""
+    name of the subcommand a call parses, only that one gets its options.
+    An option is stored only when given: ``main`` fills in the defaults."""
     parser = argparse.ArgumentParser(
         prog="distqc",
         description="Purified-pair fidelities, teleported-gate error tables, "
@@ -341,12 +327,11 @@ def build_parser(called: str | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, options) in SUBCOMMANDS.items():
+    for name, (_, summary, options) in SUBCOMMANDS.items():
         built = called in (None, name)
         p = sub.add_parser(name, help=summary, add_help=built, allow_abbrev=False)
-        p.set_defaults(func=func, given={})
         for flag, kwargs in options.items() if built else ():
-            p.add_argument(flag, action=_Given, **kwargs)
+            p.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
     return parser
 
 
@@ -359,9 +344,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help/--version, 2 for bad arguments
         return 0 if not exc.code else 1
+    func, _, options = SUBCOMMANDS[args.command]
+    # an option argparse stored was given; every other one takes its default
+    args.given = {}
+    for flag, kwargs in options.items():
+        dest = flag[2:].replace("-", "_")
+        if dest in vars(args):
+            args.given[dest] = flag
+        else:
+            setattr(args, dest, kwargs.get("default"))
     args.reads = set()  # record reads from here on, so argparse's own never count
     try:
-        return args.func(args)
+        return func(args)
     except (ValueError, SuccessProbabilityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

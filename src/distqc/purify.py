@@ -480,13 +480,13 @@ def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lane
     """Pump every lane in one interpreter pass: lane b starts from the
     channel vector ``f_ini[b]`` under the noise ``noises[index[b]]``.
 
-    The round tensors are built once per entry of ``noises`` (D for double
-    schedules only) and gathered to the lanes.
+    The round tensors are built once per entry of ``noises`` (D only if a
+    stage runs it) and gathered to the lanes.
     """
-    maps = _build_maps(
-        np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]), schedule.scheme == "double"
-    )
-    return _interpret(stage_program(schedule), f_ini, maps, index)
+    program = stage_program(schedule)
+    maps = _build_maps(np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]),
+                       any(stage.tensor == "D" for stage in program.stages))
+    return _interpret(program, f_ini, maps, index)
 
 
 def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:

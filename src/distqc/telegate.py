@@ -247,6 +247,9 @@ def gate_error_table_from_circuit(
                     if a == b == I:
                         continue
                     sources.append((float(tab[a, b]), idx + 1, {q1: a, q2: b}))
+    for idx, op in enumerate(ops):  # a measurement flip: the error its basis reads, at the measurement
+        if op[0] == "measure":
+            sources.append((pM, idx, {op[1]: X if op[2] == "Z" else Z}))
 
     t = np.zeros((4, 4))
     for weight, start, labels in sources:
@@ -255,13 +258,6 @@ def gate_error_table_from_circuit(
             out = _canonical_fresh_syndrome(out)
         if out != (I, I):
             t[out] += weight
-
-    for idx, op in enumerate(ops):
-        if op[0] == "measure":
-            out = op[3]
-            if kind == GateKind.I:
-                out = _canonical_fresh_syndrome(out)
-            t[out] += pM
     return t
 
 

@@ -342,6 +342,134 @@ K,F,p_g
   "version": "0.1.0"
 }
 """,
+    # gate tables: the closed form, and the circuit oracle's deviation from
+    # it, which sums the same sources in a fixed order
+    ("ttg", "--kind", "I", "--fbar", "0.99,0.004,0.003,0.003", "--pg", "2e-3", "--pM", "1e-3"): """\
+{
+  "aggregates": {
+    "p_xbarz": 0.008066666666666666,
+    "p_xz": 0.0,
+    "p_xzbar": 0.0,
+    "p_zbarx": 0.0005333333333333334,
+    "p_zx": 0.0015333333333333336,
+    "p_zxbar": 0.006533333333333334
+  },
+  "circuit_table_max_dev": 0.0,
+  "f_bar": [
+    0.99,
+    0.004,
+    0.003,
+    0.003
+  ],
+  "kind": "I",
+  "p_M": 0.001,
+  "p_g": 0.0020000000000000018,
+  "table": [
+    0.0,
+    0.0002666666666666667,
+    0.0002666666666666667,
+    0.004266666666666667,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.0,
+    0.003266666666666667,
+    0.0012666666666666668,
+    0.0002666666666666667,
+    0.003266666666666667
+  ],
+  "total_error": 0.012866666666666667,
+  "version": "0.1.0"
+}
+""",
+    ("ttg", "--kind", "II", "--fbar", "0.99,0.004,0.003,0.003", "--pg", "2e-3", "--pM", "1e-3"): """\
+{
+  "aggregates": {
+    "p_xbarz": 0.0086,
+    "p_xz": 0.0015333333333333336,
+    "p_xzbar": 0.0005333333333333334,
+    "p_zbarx": 0.0005333333333333334,
+    "p_zx": 0.0015333333333333336,
+    "p_zxbar": 0.007600000000000001
+  },
+  "circuit_table_max_dev": 0.0,
+  "f_bar": [
+    0.99,
+    0.004,
+    0.003,
+    0.003
+  ],
+  "kind": "II",
+  "p_M": 0.001,
+  "p_g": 0.0020000000000000018,
+  "table": [
+    0.0,
+    0.0002666666666666667,
+    0.0002666666666666667,
+    0.004533333333333334,
+    0.0002666666666666667,
+    0.0,
+    0.0,
+    0.0012666666666666668,
+    0.0002666666666666667,
+    0.0,
+    0.0,
+    0.0002666666666666667,
+    0.0035333333333333336,
+    0.0012666666666666668,
+    0.0002666666666666667,
+    0.0035333333333333336
+  ],
+  "total_error": 0.015733333333333335,
+  "version": "0.1.0"
+}
+""",
+    ("ttg", "--kind", "III", "--fbar", "0.99,0.004,0.003,0.003", "--pg", "2e-3", "--pM", "1e-3"): """\
+{
+  "aggregates": {
+    "p_xbarz": 0.0086,
+    "p_xz": 0.0015333333333333336,
+    "p_xzbar": 0.0005333333333333334,
+    "p_zbarx": 0.0005333333333333334,
+    "p_zx": 0.0015333333333333336,
+    "p_zxbar": 0.007600000000000001
+  },
+  "circuit_table_max_dev": 0.0,
+  "f_bar": [
+    0.99,
+    0.004,
+    0.003,
+    0.003
+  ],
+  "kind": "III",
+  "p_M": 0.001,
+  "p_g": 0.0020000000000000018,
+  "table": [
+    0.0,
+    0.0002666666666666667,
+    0.0002666666666666667,
+    0.004533333333333334,
+    0.0002666666666666667,
+    0.0,
+    0.0,
+    0.0012666666666666668,
+    0.0002666666666666667,
+    0.0,
+    0.0,
+    0.0002666666666666667,
+    0.0035333333333333336,
+    0.0012666666666666668,
+    0.0002666666666666667,
+    0.0035333333333333336
+  ],
+  "total_error": 0.015733333333333335,
+  "version": "0.1.0"
+}
+""",
 }
 
 

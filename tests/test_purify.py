@@ -591,6 +591,18 @@ def test_map_build_at_1024_points_stays_small():
     assert peak < 8 * 2**20
 
 
+def test_only_double_schedules_build_d(monkeypatch):
+    # D is most of a map build; no stage of a single schedule reads it
+    from distqc.threshold import DOUBLE_SCHEDULE_PRESETS, SINGLE_SCHEDULE_PRESETS
+
+    build_maps, built = purify._build_maps, []
+    monkeypatch.setattr(purify, "_build_maps",
+                        lambda p_tables, p_M, double: built.append(double) or build_maps(p_tables, p_M, double))
+    for schedule in SINGLE_SCHEDULE_PRESETS + DOUBLE_SCHEDULE_PRESETS:
+        pump_lanes(schedule, ChannelParams(0.9).f_ini[None], [MILD], [0])
+    assert built == [False] * len(SINGLE_SCHEDULE_PRESETS) + [True] * len(DOUBLE_SCHEDULE_PRESETS)
+
+
 def test_threshold_sweeps_never_compute_p_net(monkeypatch):
     from distqc.threshold import ThresholdConditions, threshold_curve
 

@@ -300,6 +300,19 @@ def test_contour_points_sit_on_the_level():
     assert infidelity == pytest.approx(1e-3, rel=1e-3)
 
 
+def test_a_lane_whose_first_stage_underflows_fails_and_is_omitted():
+    # 1200 bit-flip checks against F = 0.26 ancillas underflow in stage 0 at
+    # every rate, leaving f_out NaN and p_net 0: the lane fails the
+    # conditions and reaches no level
+    schedule = PumpSchedule.single(1200, 0)
+    lanes = purify.pump_lanes(schedule, ChannelParams(0.26).f_ini[None], [depolarizing_noise(1e-3, 1e-3)], [0])
+    assert lanes.failed.tolist() == [0] and np.isnan(lanes.f_out).all() and lanes.p_net.tolist() == [0.0]
+    assert threshold_curve(schedule, [0.26]) == [(0.26, 0.0)]
+    assert contour_infidelity([schedule], 0.1, [0.26]) == [[]]
+    assert contour_expected_cost(schedule, [1e4], [0.26]) == [[]]
+    assert not pipeline_passes(0.26, 1e-6, schedule, "equal", ThresholdConditions())
+
+
 # --- lanes do not couple ----------------------------------------------------------
 
 PRESETS = SINGLE_SCHEDULE_PRESETS + DOUBLE_SCHEDULE_PRESETS + (SCHED_122,)
