@@ -315,10 +315,12 @@ COMMANDS = tuple(SUBCOMMANDS)
 
 
 def build_parser(called: str | None = None) -> argparse.ArgumentParser:
-    """The ``distqc`` parser.  Every subcommand is registered with its help,
-    so the top-level help, usage and errors stay the same, but given the
-    name of the subcommand a call parses, only that one gets its options.
-    An option is stored only when given: ``main`` fills in the defaults."""
+    """The ``distqc`` parser.  With ``called`` None it holds every
+    subcommand, for the top-level help, version and errors.  Given the name
+    of the subcommand a call parses, it holds only that one, and the metavar
+    of the subcommand argument still names all of them, so the usage line
+    of a top-level error reads as the full parser's.  An option is stored
+    only when given: ``main`` fills in the defaults."""
     parser = argparse.ArgumentParser(
         prog="distqc",
         description="Purified-pair fidelities, teleported-gate error tables, "
@@ -326,18 +328,22 @@ def build_parser(called: str | None = None) -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # only a one-subcommand parser sets the metavar: argparse also names the
+    # argument by it in the full parser's missing or unknown subcommand errors
+    metavar = None if called is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (_, summary, options) in SUBCOMMANDS.items():
-        built = called in (None, name)
-        p = sub.add_parser(name, help=summary, add_help=built, allow_abbrev=False)
-        for flag, kwargs in options.items() if built else ():
-            p.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
+        if called in (None, name):
+            p = sub.add_parser(name, help=summary, allow_abbrev=False)
+            for flag, kwargs in options.items():
+                p.add_argument(flag, **{**kwargs, "default": argparse.SUPPRESS})
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # --help, --version or a name that is no subcommand gets every option
+    # a call whose first argument names a subcommand builds only that one;
+    # --help, --version, no argument or any other first argument gets all
     parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv, _Args())

@@ -145,8 +145,8 @@ def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
 
 def effective_pg(p_g: float, eta: float, l_wait: int) -> float:
     """Fold memory error over l_wait waiting steps into the gate error rate."""
-    if p_g < 0 or eta < 0 or l_wait < 0:
-        raise ValueError("p_g, eta and l_wait must be non-negative")
+    if not (p_g >= 0 and eta >= 0 and l_wait >= 0):  # a NaN fails here
+        raise ValueError(f"p_g, eta and l_wait must be non-negative, got {p_g}, {eta} and {l_wait}")
     total = p_g + eta * l_wait
     if total >= 1.0:
         raise ValueError(f"effective error probability {total} reaches 1")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -713,6 +714,12 @@ def test_nan_fidelity_vector_is_refused_with_a_reason(capsys, argv):
     assert captured.err.startswith("error: fidelity vector entries outside [0, 1]: ")
 
 
+def test_a_nan_memory_rate_is_blamed_on_eta(capsys):
+    code = main(["pump", "--F", "0.9", "--eta", "nan", "--l-wait", "1", "--schedule", "1,2,2"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "error: p_g, eta and l_wait must be non-negative, got 0.001, nan and 1\n")
+
+
 def _subparsers(parser) -> dict:
     """The subcommand parsers of ``parser``, by name."""
     return next(a for a in parser._actions if a.dest == "command").choices
@@ -904,13 +911,47 @@ def test_every_subcommand_is_named_and_in_the_readme():
 
 @pytest.mark.parametrize("name", cli.COMMANDS)
 def test_a_subcommand_parser_parses_as_the_full_parser(name):
-    # build_parser(name) gives only name its options: the top-level help,
-    # name's help and name's parsed README command stay the same
+    # build_parser(name) holds only name: the top-level usage, which its
+    # errors print, name's help and name's parsed README command stay the same
     full, one = build_parser(), build_parser(name)
-    assert one.format_help() == full.format_help()
+    assert one.format_usage() == full.format_usage()
     assert _subparsers(one)[name].format_help() == _subparsers(full)[name].format_help()
     argv = README_COMMANDS[name]
     assert vars(one.parse_args(argv, cli._Args())) == vars(full.parse_args(argv, cli._Args()))
+
+
+def test_a_call_builds_only_the_subcommand_it_names(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for name, (_, summary, options) in cli.SUBCOMMANDS.items():
+        monkeypatch.setitem(cli.SUBCOMMANDS, name, (lambda args: 0, summary, options))
+    for argv, parsers in [*[(argv, 2) for argv in README_COMMANDS.values()],
+                          (["--help"], 8), (["pmup"], 8), ([], 8)]:
+        built.clear()
+        main(argv)
+        assert len(built) == parsers, argv
+    capsys.readouterr()
+    # the full parser's own errors name the subcommand argument "command"
+    for argv, error in [(["pmup"], "argument command: invalid choice: 'pmup' (choose from"),
+                        ([], "the following arguments are required: command")]:
+        assert main(argv) == 1
+        assert f"distqc: error: {error}" in capsys.readouterr().err
+    # the top-level errors a one-subcommand parser prints read as the full parser's
+    errors = [["pump", "--F", "0.9", "--schedule", "1,2,2", "extra"],
+              ["pump", "--schedule", "1,2,2", "--version"], ["verify", "extra"]]
+    printed = [(main(argv), capsys.readouterr()) for argv in errors]
+    full = build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda called=None: full())
+    assert printed == [(main(argv), capsys.readouterr()) for argv in errors]
+    usage = "{pump,ttg,qvalues,threshold-curve,infidelity-contour,resource,verify}"
+    assert all(code == 1 and usage in err for code, (_, err) in printed)
 
 
 @pytest.mark.parametrize("argv", [*README_COMMANDS.values(), ["--version"], ["--help"],

@@ -96,6 +96,8 @@ def test_effective_pg():
         effective_pg(0.5, 0.1, 5)
     with pytest.raises(ValueError):
         effective_pg(-0.1, 0.0, 0)
+    with pytest.raises(ValueError, match="got 0.001, nan and 1"):
+        effective_pg(0.001, float("nan"), 1)
 
 
 def test_noise_params_validation():
