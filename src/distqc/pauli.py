@@ -148,6 +148,7 @@ def effective_pg(p_g: float, eta: float, l_wait: int) -> float:
     if not (p_g >= 0 and eta >= 0 and l_wait >= 0):  # a NaN fails here
         raise ValueError(f"p_g, eta and l_wait must be non-negative, got {p_g}, {eta} and {l_wait}")
     total = p_g + eta * l_wait
-    if total >= 1.0:
-        raise ValueError(f"effective error probability {total} reaches 1")
+    if not total < 1.0:  # a NaN fails here: an infinite eta times l_wait = 0
+        reason = "reaches 1" if total >= 1.0 else f"is undefined at eta = {eta} and l_wait = {l_wait}"
+        raise ValueError(f"effective error probability {total} {reason}")
     return total

@@ -48,10 +48,11 @@ last, contiguous in memory.  :func:`pump_lanes` pumps a batch of lanes in
 one pass and builds the round tensors once per distinct noise point;
 :func:`pump` is the one-lane call.  Each round is one einsum whose inner
 loop runs along the lanes; the rounds are summed ROUND_BLOCK at a time, and
-the rest of the bookkeeping (conditionals, stage probabilities, failures) is
-done once per stage.  A lane's result is bitwise the result of pumping it
-alone; a lane whose success probability underflows is flagged without
-touching the others, and holds NaN from there on.
+the rest of the bookkeeping (conditionals, stage probabilities) is done once
+per stage.  A lane's result is bitwise the result of pumping it alone.  NaN
+is the one failure signal: a stage whose success probability underflows to
+0 in a lane leaves NaN in that lane's output from there on, without touching
+the other lanes, and an attempt fails only at a stage it runs.
 """
 
 from __future__ import annotations
@@ -385,36 +386,35 @@ class Lanes:
     ``f_out[b]`` is lane b's pumped vector, ``probs[s][b]`` the success
     probability of stage s, ``p_net[b]`` the net success probability
     (computed on first read) and ``conditionals[s][r, b]`` the conditional
-    success probability of round r of stage s.  ``failed[b]`` is the index
-    of the first stage whose success probability underflowed to 0 in lane b,
-    or -1; the other entries of such a lane are meaningless, and NaN from
-    that stage on.  Each round ran as one contraction over all lanes, with
-    the lane axis last; the rest of the bookkeeping ran once per stage.
+    success probability of round r of stage s.  A stage whose success
+    probability underflows to 0 in lane b leaves NaN in the lane's vectors
+    from there on: a lane fails at a stage an attempt runs, and then its
+    f_out is NaN and its p_net 0 or NaN.  Each round ran as one contraction
+    over all lanes, with the lane axis last; the rest of the bookkeeping ran
+    once per stage.
     """
 
     f_out: np.ndarray
     probs: tuple[np.ndarray, ...]
     conditionals: tuple[np.ndarray, ...]
-    failed: np.ndarray
     program: StageProgram
 
     @cached_property
     def p_net(self) -> np.ndarray:
         # Python's float power, lane by lane (see _build_maps)
-        p_net = np.ones(len(self.failed))
+        p_net = np.ones(len(self.f_out))
         for p, m in zip(self.probs, self.program.multiplicity):
             p_net = p_net * np.array([x**m for x in p.tolist()])
         return p_net
 
     def result(self, b: int) -> PumpResult:
         """Lane b as a :class:`PumpResult`; raises
-        :class:`SuccessProbabilityError` if the lane underflowed."""
+        :class:`SuccessProbabilityError` at the first stage an attempt runs
+        whose success probability in lane b is not positive (0 or NaN)."""
         program = self.program
-        s = int(self.failed[b])
-        if s >= 0:
-            raise SuccessProbabilityError(
-                f"{program.stages[s].what}: success probability underflowed to 0"
-            )
+        for stage, p, m in zip(program.stages, self.probs, program.multiplicity):
+            if m and not p[b] > 0.0:
+                raise SuccessProbabilityError(f"{stage.what}: success probability underflowed to 0")
         return PumpResult(
             f_out=self.f_out[b],
             success_probs={st.name: float(p[b]) for st, p in zip(program.stages, self.probs)},
@@ -432,17 +432,16 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
     Vectors are (4, B) and tensors carry the lanes last, so each round is one
     einsum over contiguous lanes into a ring of (4, B) buffers, one per round
     of the longest stage up to ROUND_BLOCK; each pass round the ring is
-    summed at once, and the round sums give the stage's conditionals,
-    probability and failures."""
+    summed at once, and the round sums give the stage's conditionals and
+    probability."""
     n = len(f_ini)
     f_ini = np.ascontiguousarray(f_ini.T)
     outputs = {}
     probs = []
     conditionals = []
-    failed = np.full(n, -1)
     ring = np.empty((min(ROUND_BLOCK, max(stage.rounds for stage in program.stages)), 4, n))
     product = np.empty((4, 4, 4, 4, n)) if "D" in maps else None
-    for s, stage in enumerate(program.stages):
+    for stage in program.stages:
         double = stage.tensor == "D"
         tensor = maps["D"] if double else maps[stage.tensor].take(index, axis=-1)
         ancillas = [
@@ -463,7 +462,6 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
                 f = np.einsum("ijkn,in,jn->kn", tensor, f, *ancillas, out=ring[k])
             if k == len(ring) - 1 or r == stage.rounds - 1:
                 ring[:k + 1].sum(axis=1, out=sums[r - k + 1:r + 2])
-        failed[(failed < 0) & (sums <= 0.0).any(axis=0)] = s
         outputs[stage.name] = f / sums[-1]
         probs.append(sums[-1])
         conditionals.append(sums[1:] / sums[:-1])
@@ -471,7 +469,6 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
         f_out=np.ascontiguousarray(outputs[program.stages[-1].name].T),
         probs=tuple(probs),
         conditionals=tuple(conditionals),
-        failed=failed,
         program=program,
     )
 

@@ -213,11 +213,10 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equa
 def _passes(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule, cond: ThresholdConditions):
     """Pipeline verdict of every lane (see :func:`pump_at`): pump, evaluate
     the error-class rates and check the conditions.  A lane whose pumping
-    underflows fails."""
+    underflows has a NaN f_out, so it fails every strict bound."""
 
     def verdict(lanes: Lanes, p):
-        q = q_values(lanes.f_out, p, p_M_of(p_M_rule, p))
-        return (lanes.failed < 0) & fault_tolerant(q, cond)
+        return fault_tolerant(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
 
     return pump_at(schedule, f_ini, p_g, verdict, p_M_rule)
 
@@ -360,10 +359,12 @@ DOUBLE_SCHEDULE_PRESETS = tuple(
 
 def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[float, float]]]:
     """Per level, the (F, p) points where ``read(lanes)``, a per-lane value of a
-    :class:`Lanes` batch that grows with p_g = p_M, reaches it (inf where the
-    pumping underflowed): one :func:`_crossings` over every (level, F) lane,
-    which scans p = 0 and the doubling rates 1e-5 * 2**k up to P_MAX and
-    bisects arithmetically.  Points reached at p = 0 or not by P_MAX are omitted."""
+    :class:`Lanes` batch that grows with p_g = p_M, reaches it: one
+    :func:`_crossings` over every (level, F) lane, which scans p = 0 and the
+    doubling rates 1e-5 * 2**k up to P_MAX and bisects arithmetically.
+    Points reached at p = 0 or not by P_MAX are omitted.  A lane whose
+    pumping underflowed reads NaN or inf (its f_out is NaN, its p_net 0 or
+    NaN), which lies below no level, so it never reaches one."""
     F_grid = list(F_grid)
     n = len(F_grid)
     f_ini = np.array([ChannelParams(F).f_ini for F in F_grid]).reshape(-1, 4)
@@ -372,13 +373,11 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
     def guarded(lanes: Lanes, _):
-        return np.where(lanes.failed < 0, read(lanes), math.inf)
+        return read(lanes)
 
     def passes(k, p):
         """Pump each distinct (rate, fidelity) of lanes k once and compare
         it with the level of every lane."""
-        if levels.size == 1:  # no two lanes share a fidelity
-            return pump_at(schedule, f_ini[k % n], p, guarded) < goal[k]
         rate, r = np.unique(p, return_inverse=True)
         key, same = np.unique(r * n + k % n, return_inverse=True)  # rate-major, as the lanes come
         return pump_at(schedule, f_ini[key % n], rate[key // n], guarded)[same] < goal[k]

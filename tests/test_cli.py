@@ -720,6 +720,31 @@ def test_a_nan_memory_rate_is_blamed_on_eta(capsys):
         1, "", "error: p_g, eta and l_wait must be non-negative, got 0.001, nan and 1\n")
 
 
+def test_an_infinite_memory_rate_with_no_wait_is_blamed_on_eta(capsys):
+    # eta * l_wait is inf * 0, a NaN that used to reach --pg's range check
+    code = main(["pump", "--F", "0.9", "--eta", "inf", "--l-wait", "0", "--schedule", "1,2,2"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "error: effective error probability nan is undefined at eta = inf and l_wait = 0\n")
+
+
+@pytest.mark.parametrize("command", ["pump", "resource"])
+def test_a_stage_no_attempt_runs_does_not_fail_the_call(capsys, command):
+    # at m2 = 0 no attempt runs p_lv1, so its underflow at F = 0.27 leaves
+    # the output of (0, 1, 0) but for the schedule and p_lv1's probability
+    outputs = []
+    for schedule in ("1200,1,0", "0,1,0"):
+        code = main([command, "--F", "0.27", "--pg", "0", "--schedule", schedule])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        outputs.append(json.loads(out))
+    unused, bare = outputs
+    assert (unused.pop("schedule"), bare.pop("schedule")) == ([1200, 1, 0], [0, 1, 0])
+    if command == "pump":
+        assert (unused["success_probs"]["p_lv1"], bare["success_probs"]["p_lv1"]) == (0.0, 1.0)
+        unused["success_probs"]["p_lv1"] = 1.0
+    assert unused == bare
+
+
 def _subparsers(parser) -> dict:
     """The subcommand parsers of ``parser``, by name."""
     return next(a for a in parser._actions if a.dest == "command").choices

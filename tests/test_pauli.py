@@ -92,8 +92,14 @@ def test_depolarizing_noise_rejects_bad_inputs(p_g, p_M):
 def test_effective_pg():
     assert effective_pg(0.001, 0.0, 5) == 0.001
     assert effective_pg(0.001, 0.0001, 5) == pytest.approx(0.0015)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^effective error probability 1.0 reaches 1$"):
         effective_pg(0.5, 0.1, 5)
+    with pytest.raises(ValueError, match=r"^effective error probability inf reaches 1$"):
+        effective_pg(0.001, float("inf"), 1)
+    # inf * 0 is NaN, which no comparison with 1 catches unless written to
+    with pytest.raises(ValueError, match=r"^effective error probability nan is undefined "
+                                         r"at eta = inf and l_wait = 0$"):
+        effective_pg(0.001, float("inf"), 0)
     with pytest.raises(ValueError):
         effective_pg(-0.1, 0.0, 0)
     with pytest.raises(ValueError, match="got 0.001, nan and 1"):

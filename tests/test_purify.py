@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distqc import purify
 from distqc.pauli import ChannelParams, depolarizing_noise
@@ -366,6 +366,18 @@ def test_success_probability_underflow_raises():
         single_selection([0, 1, 0, 0], PERFECT, NOISELESS)
 
 
+def test_a_stage_no_attempt_runs_cannot_fail_it():
+    # with m2 = 0 an attempt runs no p_lv1 instance: its 1200 bit-flip checks
+    # against F = 0.27 pairs underflow, and the attempt is that of (0, 1, 0)
+    channel = ChannelParams(0.27)
+    unused = pump(channel, PumpSchedule.double(1200, 1, 0), NOISELESS)
+    bare = pump(channel, PumpSchedule.double(0, 1, 0), NOISELESS)
+    assert unused.success_probs["p_lv1"] == 0.0
+    assert unused.f_out.tobytes() == bare.f_out.tobytes()
+    assert unused.p_net == bare.p_net and unused.attempt_cost == bare.attempt_cost
+    assert unused.round_chain() == bare.round_chain()
+
+
 # --- stage program properties ----------------------------------------------
 
 SCHEDULES = st.one_of(
@@ -436,10 +448,12 @@ def assert_same_result(a, b):
     ),
     pure_x=st.booleans(),
 )
+@example(schedule=PumpSchedule.double(0, 0, 1), points=[(1.0, 0.0, 1.0)], pure_x=True)
+@example(schedule=PumpSchedule.double(1, 1, 0), points=[(0.9, 1e-3, 1.0)], pure_x=True)
 def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
     # a lane's result depends on its own inputs alone, bit for bit; a pure
     # bit-flip start under noiseless operations makes its lane underflow
-    # wherever a stage checks bit flips, and must not disturb the others
+    # wherever a stage checks bit flips, and its NaN must not reach the others
     f_ini = [ChannelParams(F).f_ini for F, _, _ in points]
     noises = [depolarizing_noise(p, r * p) for _, p, r in points]
     if pure_x:
@@ -450,15 +464,24 @@ def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
     lanes = pump_lanes(schedule, f_ini, noises[::-1], index)
     for b, noise in enumerate(noises):
         alone = pump_lanes(schedule, f_ini[b:b + 1], [noise], [0])
-        assert lanes.failed[b] == alone.failed[0]
-        if alone.failed[0] >= 0:
+        assert np.array_equal(lanes.f_out[b], alone.f_out[0], equal_nan=True)
+        for mine, its in zip(lanes.probs + lanes.conditionals, alone.probs + alone.conditionals):
+            assert np.array_equal(mine[..., b], its[..., 0], equal_nan=True)
+        try:
+            expected = alone.result(0)
+        except SuccessProbabilityError as alone_error:
             with pytest.raises(SuccessProbabilityError) as lane_error:
                 lanes.result(b)
-            with pytest.raises(SuccessProbabilityError) as alone_error:
-                alone.result(0)
-            assert str(lane_error.value) == str(alone_error.value)
+            assert str(lane_error.value) == str(alone_error)
+            # the stage it names runs in an attempt and underflowed to 0, and
+            # the lane is NaN from there on
+            program = stage_program(schedule)
+            [s] = [s for s, stage in enumerate(program.stages)
+                   if str(alone_error) == f"{stage.what}: success probability underflowed to 0"]
+            assert program.multiplicity[s] > 0 and alone.probs[s][0] == 0.0
+            assert np.isnan(alone.f_out).all()
             continue
-        assert_same_result(lanes.result(b), alone.result(0))
+        assert_same_result(lanes.result(b), expected)
         if b < len(points):
             assert_same_result(lanes.result(b), pump(ChannelParams(points[b][0]), schedule, noise))
 
@@ -613,7 +636,7 @@ def test_threshold_sweeps_never_compute_p_net(monkeypatch):
     # read, it is the product over stages of each probability to its
     # multiplicity, in Python's float power
     lanes = built[0]
-    for b in range(len(lanes.failed)):
+    for b in range(len(lanes.f_out)):
         expected = 1.0
         for p, m in zip(lanes.probs, lanes.program.multiplicity):
             expected *= float(p[b]) ** m

@@ -137,6 +137,18 @@ def test_contour_omits_points_whose_net_success_underflows(model):
     assert contour_expected_cost(schedule, [1e5, 1e300], [0.6, 0.9, 0.99], model) == [[], []]
 
 
+def test_a_stage_no_attempt_runs_costs_nothing():
+    # with m2 = 0 an attempt runs no p_lv1 instance, so the 1200 bit-flip
+    # checks that underflow at F = 0.27 neither fail it nor change its cost
+    unused, bare = PumpSchedule.double(1200, 1, 0), PumpSchedule.double(0, 1, 0)
+    channel, noise = ChannelParams(0.27), depolarizing_noise(0.0, 0.0)
+    assert pump(channel, unused, noise).success_probs["p_lv1"] == 0.0
+    assert expected_cost(unused, channel, noise) == expected_cost(bare, channel, noise)
+    # K stays near 11.99 up to P_MAX at F = 0.27, so these levels cross there
+    found = contour_expected_cost(unused, [11.9915, 11.993], [0.27, 0.3])
+    assert found == contour_expected_cost(bare, [11.9915, 11.993], [0.27, 0.3]) and all(found)
+
+
 def test_contour_rejects_bad_level():
     with pytest.raises(ValueError):
         contour_expected_cost(SCHED_122, [-5.0], [0.9])

@@ -306,7 +306,9 @@ def test_a_lane_whose_first_stage_underflows_fails_and_is_omitted():
     # conditions and reaches no level
     schedule = PumpSchedule.single(1200, 0)
     lanes = purify.pump_lanes(schedule, ChannelParams(0.26).f_ini[None], [depolarizing_noise(1e-3, 1e-3)], [0])
-    assert lanes.failed.tolist() == [0] and np.isnan(lanes.f_out).all() and lanes.p_net.tolist() == [0.0]
+    with pytest.raises(purify.SuccessProbabilityError, match="^level-1 single pumping: "):
+        lanes.result(0)
+    assert lanes.probs[0].tolist() == [0.0] and np.isnan(lanes.f_out).all() and lanes.p_net.tolist() == [0.0]
     assert threshold_curve(schedule, [0.26]) == [(0.26, 0.0)]
     assert contour_infidelity([schedule], 0.1, [0.26]) == [[]]
     assert contour_expected_cost(schedule, [1e4], [0.26]) == [[]]
