@@ -362,7 +362,7 @@ def main(argv=None) -> int:
     args.reads = set()  # record reads from here on, so argparse's own never count
     try:
         return func(args)
-    except (ValueError, SuccessProbabilityError) as exc:
+    except (ValueError, SuccessProbabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -126,7 +126,7 @@ def simulate_expected_cost(
             f"needs about {draws:.3g} round draws, over the budget of {MC_DRAW_BUDGET:.0e}"
         )
     chain = np.array(result.round_chain())
-    cost = model.attempt_cost(result.attempt_cost)
+    cost = model.attempt_cost(result.program.tally)
     rng = np.random.default_rng(seed)
     # consecutive row blocks of Generator.random continue one stream, so the
     # estimate does not depend on the block size

@@ -7,23 +7,22 @@ gates.  Their probabilities are linear sums over the eight per-gate error
 aggregates of the unit cell; sufficient fault-tolerance conditions bound them
 by constants calibrated against a minimum-weight-matching threshold study.
 
-``threshold_pg`` runs the full pipeline (entanglement pumping, gate error
+``threshold_curve`` runs the full pipeline (entanglement pumping, gate error
 aggregates, condition check) and bisects for the largest tolerable local gate
-error; ``threshold_curve`` traces it over the channel fidelity and
-``contours`` traces loci of a fixed pumped value, such as the infidelity.
+error at each channel fidelity, ``threshold_pg`` at one; ``contours`` traces
+loci of a fixed pumped value, such as the infidelity.
 
 A landscape is evaluated as one search over lane arrays: every grid
 fidelity (of a contour: every level and fidelity) is a lane holding its own
 bracket, and each step pumps the local error rates of all live lanes
 (:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
 rate in a batch.  Both sweeps ask where a lane's verdict turns from pass to
-fail, and :func:`_crossings` answers both: it scans a fixed rate grid (24
-geometric rates for thresholds, the doubling rates 0, 1e-5, 2e-5, ... for
-contours), then bisects every bracket together, two steps per pass: one
-pass pumps the midpoint and both quarter points of every bracket, the
-quarter point on the side the midpoint's verdict keeps being the next
-midpoint.  Each point is bitwise the point a search of that fidelity alone
-finds; ``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
+fail, and :func:`_crossings` answers both: it scans a fixed rate grid,
+then bisects every bracket together, two steps per pass: one pass pumps
+the midpoint and both quarter points of every bracket, the quarter point
+on the side the midpoint's verdict keeps being the next midpoint.  Each
+point is bitwise the point a search of that fidelity alone finds;
+``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -279,23 +278,6 @@ def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     return flags[:, 0], bracketed, mean(lo, hi)
 
 
-def _thresholds(f_ini: np.ndarray, schedule: PumpSchedule, p_M_rule, cond, rel_tol: float):
-    """Threshold of every lane (channel vector ``f_ini[b]``), all lanes
-    searched together by :func:`_crossings`: the 24-point geometric scan up
-    to P_MAX, then geometric bisection to relative tolerance rel_tol.  A lane
-    that fails at the first scan point has threshold 0; one whose scan does
-    not cross from pass to fail exactly once has NaN.  Raises ValueError for
-    a bad p_M rule, which no lane can pass."""
-    p_M_of(p_M_rule, 0.0)
-    cond = cond or ThresholdConditions()
-    first, bracketed, th = _crossings(
-        lambda lanes, p: _passes(schedule, f_ini[lanes], p, p_M_rule, cond),
-        len(f_ini), np.geomspace(1e-6, P_MAX, 24),
-        lambda lo, hi: np.sqrt(lo * hi), lambda lo, hi: hi - lo > rel_tol * lo, first_fail=False,
-    )
-    return np.where(bracketed, th, np.where(first, math.nan, 0.0))
-
-
 def threshold_pg(
     F: float,
     schedule: PumpSchedule,
@@ -303,20 +285,19 @@ def threshold_pg(
     cond: ThresholdConditions | None = None,
     rel_tol: float = REL_TOL,
 ) -> float:
-    """Largest local gate error probability the full pipeline tolerates at
-    channel fidelity F, located by bisection to relative tolerance rel_tol.
+    """:func:`threshold_curve` at the one channel fidelity F.
 
     Returns 0.0 when no positive error rate passes.  Raises
     :class:`NonMonotoneIndicatorError` if the coarse scan up to P_MAX does
     not show a single pass/fail crossing; the bisection assumes one.
     """
-    [th] = _thresholds(ChannelParams(F).f_ini[None], schedule, p_M_rule, cond, rel_tol)
+    [(_, th)] = threshold_curve(schedule, [ChannelParams(F).F], p_M_rule, cond, rel_tol)
     if math.isnan(th):
         raise NonMonotoneIndicatorError(
             f"pass/fail indicator does not cross exactly once over the scan grid "
             f"up to p_g={P_MAX} at F={F}"
         )
-    return float(th)
+    return th
 
 
 def threshold_curve(
@@ -326,13 +307,18 @@ def threshold_curve(
     cond: ThresholdConditions | None = None,
     rel_tol: float = REL_TOL,
 ) -> list[tuple[float, float]]:
-    """Threshold gate error per channel-fidelity grid point, every point
-    searched together.
+    """Largest local gate error the full pipeline tolerates at each channel
+    fidelity of the grid, every fidelity a lane of one :func:`_crossings`:
+    the 24-point geometric scan up to P_MAX, then geometric bisection to
+    relative tolerance rel_tol.
 
-    A point that is no channel fidelity or has no single pass/fail crossing
-    is recorded as NaN rather than aborting the sweep; a bad p_M rule raises
-    ValueError.
+    A point that fails at the first scan rate has threshold 0.0.  A point
+    that is no channel fidelity, or whose scan does not cross from pass to
+    fail exactly once, is recorded as NaN rather than aborting the sweep; a
+    bad p_M rule, which no point can pass, raises ValueError.
     """
+    p_M_of(p_M_rule, 0.0)
+    cond = cond or ThresholdConditions()
     F_grid = [float(F) for F in F_grid]
     lanes, f_ini = [], []
     for i, F in enumerate(F_grid):
@@ -341,9 +327,15 @@ def threshold_curve(
         except ValueError:
             continue
         lanes.append(i)
-    th = np.full(len(F_grid), math.nan)
-    th[lanes] = _thresholds(np.array(f_ini).reshape(-1, 4), schedule, p_M_rule, cond, rel_tol)
-    return list(zip(F_grid, th.tolist()))
+    f_ini = np.array(f_ini).reshape(-1, 4)
+    first, bracketed, th = _crossings(
+        lambda k, p: _passes(schedule, f_ini[k], p, p_M_rule, cond),
+        len(f_ini), np.geomspace(1e-6, P_MAX, 24),
+        lambda lo, hi: np.sqrt(lo * hi), lambda lo, hi: hi - lo > rel_tol * lo, first_fail=False,
+    )
+    points = np.full(len(F_grid), math.nan)
+    points[lanes] = np.where(bracketed, th, np.where(first, math.nan, 0.0))
+    return list(zip(F_grid, points.tolist()))
 
 
 #: repetition presets for the two pumping families

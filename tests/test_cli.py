@@ -119,6 +119,20 @@ def test_output_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_an_unwritable_out_path_is_one_error_line(tmp_path, capsys, where):
+    path = tmp_path if where == "directory" else tmp_path / "nope" / "x.json"
+    before = sorted(tmp_path.rglob("*"))
+    code = main(["pump", "--schedule", "1,2,2", "--out", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error:") and str(path) in line
+    assert "Traceback" not in captured.err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_monte_carlo_refuses_a_point_beyond_its_draw_budget(capsys):
     # p_net ~ 4.8e-24 here: the restart loop would need ~1e27 round draws
     start = time.perf_counter()

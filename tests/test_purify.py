@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from distqc import purify
-from distqc.pauli import ChannelParams, depolarizing_noise
+from distqc.pauli import ChannelParams, NoiseParams, depolarizing_noise
 from distqc.purify import (
     MAX_ROUNDS,
     OpsTally,
@@ -28,6 +28,7 @@ from distqc.purify import (
     stage_program,
 )
 from distqc.resources import expected_cost
+from distqc.telegate import aggregates, closed_form_aggregates, gate_error_table
 
 PERFECT = np.array([1.0, 0.0, 0.0, 0.0])
 NOISELESS = depolarizing_noise(0.0, 0.0)
@@ -678,3 +679,23 @@ def test_samplers_draw_as_the_label_by_label_reference(noise, double):
     got = sample(*f[:2 + double], noise, 20_000, np.random.default_rng(9))
     expected = reference_samples(f[:2 + double], noise, 20_000, np.random.default_rng(9), double)
     assert np.array_equal(got[0], expected[0]) and got[1] == expected[1]
+
+
+X_ERROR = [0.0, 1.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: NoiseParams(np.eye(3) / 3, 0), ValueError, "p_table must be 4x4"),
+    (lambda: aggregates(np.zeros(3)), ValueError, "error table must be 4x4"),
+    (lambda: gate_error_table("II", PERFECT, NOISELESS), ValueError, "unknown gate kind 'II'"),
+    (lambda: closed_form_aggregates("II", PERFECT, 0.0, 0.0), ValueError, "unknown gate kind 'II'"),
+    # a target carrying X fails every noiseless parity check
+    (lambda: sample_single_selection(X_ERROR, PERFECT, NOISELESS, 10, np.random.default_rng(0)),
+     SuccessProbabilityError, "no samples accepted"),
+    (lambda: sample_double_selection(X_ERROR, PERFECT, PERFECT, NOISELESS, 10, np.random.default_rng(0)),
+     SuccessProbabilityError, "no samples accepted"),
+], ids=["noise-table-shape", "error-table-shape", "gate-table-kind", "closed-form-kind",
+        "single-sampler-empty", "double-sampler-empty"])
+def test_malformed_inputs_and_empty_samples_are_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -37,10 +37,10 @@ def test_expected_cost_at_least_nominal():
         assert K >= nominal
 
 
-@pytest.mark.parametrize("scale, refused", [(1 - 1e-9, True), (1 + 1e-9, False)])
+@pytest.mark.parametrize("scale, refused", [(1 - 1e-9, True), (1.0, False), (1 + 1e-9, False)])
 def test_monte_carlo_draw_budget_at_its_edge(monkeypatch, scale, refused):
     # the refusal estimates trials * rounds / p_net draws; a budget just below
-    # that refuses and one just above runs
+    # that refuses, and one equal to it or just above runs
     trials = 100
     result = pump(ChannelParams(0.9), SCHED_122, MILD)
     estimate = trials * len(result.round_chain()) / result.p_net
@@ -52,9 +52,19 @@ def test_monte_carlo_draw_budget_at_its_edge(monkeypatch, scale, refused):
         assert simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=trials) > 0
 
 
+def test_monte_carlo_refuses_a_net_success_probability_of_zero():
+    # every stage succeeds with a positive probability, but an attempt's
+    # product of them underflows to 0: its draw estimate is inf
+    schedule, noise = PumpSchedule.single(20, 60), depolarizing_noise(0, 0)
+    assert pump(ChannelParams(0.3), schedule, noise).p_net == 0.0
+    with pytest.raises(ValueError, match="probability 0 needs about inf round draws"):
+        simulate_expected_cost(schedule, ChannelParams(0.3), noise, trials=1)
+
+
 def test_expected_cost_monte_carlo_agreement():
+    # at the default of 10**6 trials
     K = expected_cost(SCHED_122, ChannelParams(0.9), MILD)
-    K_mc = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, trials=10**6, seed=1)
+    K_mc = simulate_expected_cost(SCHED_122, ChannelParams(0.9), MILD, seed=1)
     assert abs(K_mc - K) / K < 0.02
 
 

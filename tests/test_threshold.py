@@ -195,6 +195,7 @@ def test_fixed_measurement_error_lies_below_one():
     # the rule must refuse it on its own
     below = np.nextafter(1.0, 0.0)
     assert p_M_of(below, 1e-3) == below
+    assert p_M_of(0.0, 1e-3) == 0.0
     with pytest.raises(ValueError, match=r"p_M must lie in \[0, 1\), got 1.0"):
         p_M_of(1.0, 1e-3)
 
@@ -513,10 +514,10 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
     # leaving the contour scan after a failing pass
     n = len(values)
     F_grid = [0.5 + i / 64 for i in range(n)]
-    f_ini = np.repeat(np.arange(n, dtype=float)[:, None], 4, axis=1)  # row i: lane i
 
     def passes(schedule, f, p, p_M_rule, cond):
-        return np.array([value_at(values[int(i)], x) < 1.0 for i, x in zip(f[:, 0], p)], dtype=bool)
+        lanes = np.searchsorted(F_grid, f[:, 0])
+        return np.array([value_at(values[i], x) < 1.0 for i, x in zip(lanes, p)], dtype=bool)
 
     def pumped(schedule, f, p, read):
         lanes = np.searchsorted(F_grid, f[:, 0])
@@ -526,10 +527,11 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
         mp.setattr(threshold, "LANE_BLOCK", block)
         mp.setattr(threshold, "_passes", passes)
         mp.setattr(threshold, "pump_at", pumped)
-        th = threshold._thresholds(f_ini, SCHED_122, "equal", None, threshold.REL_TOL)
+        curve = threshold_curve(SCHED_122, F_grid)
         curves = threshold.contours(SCHED_122, levels, F_grid, None)
-    for i, v in enumerate(values):
-        assert same_float(th[i], reference_threshold(lambda p: value_at(v, p) < 1.0))
+    assert [F for F, _ in curve] == F_grid
+    for (_, th), v in zip(curve, values):
+        assert same_float(th, reference_threshold(lambda p: value_at(v, p) < 1.0))
     assert curves == [
         [(F, p) for F, v in zip(F_grid, values)
          if (p := reference_crossing(lambda p: value_at(v, p) < level)) is not None]
