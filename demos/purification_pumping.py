@@ -41,13 +41,13 @@ print(f"\ndouble pumping {schedule.counts}:")
 print("  purified vector:", np.array2string(result.f_out, precision=6))
 print(f"  infidelity:      {1 - result.f_out[0]:.2e}")
 print("  success probs:  ", {k: round(v, 4) for k, v in result.success_probs.items()})
-print("  base pairs per attempt:", result.attempt_cost.base_pairs)
+print("  base pairs per attempt:", result.program.tally.base_pairs)
 
 for counts in ((5, 12), (7, 9), (5, 13)):
     single = pump_single(channel, PumpSchedule.single(*counts), noise)
     print(
         f"single pumping {counts}: infidelity {1 - single.f_out[0]:.2e} "
-        f"with {single.attempt_cost.base_pairs} base pairs per attempt"
+        f"with {single.program.tally.base_pairs} base pairs per attempt"
     )
 
 print("\nDouble selection reaches an order of magnitude lower infidelity at")

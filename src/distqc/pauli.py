@@ -21,9 +21,9 @@ LABELS = (I, X, Y, Z)
 ATOL = 1e-12
 
 # label -> symplectic bits; Y carries both an x and a z bit
-_X_BIT = (0, 1, 1, 0)
-_Z_BIT = (0, 0, 1, 1)
-_FROM_BITS = ((0, 3), (1, 2))  # indexed [x][z]
+X_BIT = (0, 1, 1, 0)
+Z_BIT = (0, 0, 1, 1)
+FROM_BITS = ((0, 3), (1, 2))  # indexed [x][z]
 
 
 def _check_label(a: int) -> None:
@@ -35,7 +35,7 @@ def label_mul(a: int, b: int) -> int:
     """Product of two Pauli labels with phases discarded."""
     _check_label(a)
     _check_label(b)
-    return _FROM_BITS[_X_BIT[a] ^ _X_BIT[b]][_Z_BIT[a] ^ _Z_BIT[b]]
+    return FROM_BITS[X_BIT[a] ^ X_BIT[b]][Z_BIT[a] ^ Z_BIT[b]]
 
 
 def cnot_propagate(control: int, target: int) -> tuple[int, int]:
@@ -46,9 +46,9 @@ def cnot_propagate(control: int, target: int) -> tuple[int, int]:
     """
     _check_label(control)
     _check_label(target)
-    xc, zc = _X_BIT[control], _Z_BIT[control]
-    xt, zt = _X_BIT[target], _Z_BIT[target]
-    return _FROM_BITS[xc][zc ^ zt], _FROM_BITS[xt ^ xc][zt]
+    xc, zc = X_BIT[control], Z_BIT[control]
+    xt, zt = X_BIT[target], Z_BIT[target]
+    return FROM_BITS[xc][zc ^ zt], FROM_BITS[xt ^ xc][zt]
 
 
 def hadamard_propagate(a: int) -> int:
@@ -66,8 +66,8 @@ CNOT_CONTROL_TABLE = np.array(
 CNOT_TARGET_TABLE = np.array(
     [[cnot_propagate(c, t)[1] for t in LABELS] for c in LABELS], dtype=np.int64
 )
-X_COMPONENT = np.array(_X_BIT, dtype=np.int64)  # 1 for X, Y
-Z_COMPONENT = np.array(_Z_BIT, dtype=np.int64)  # 1 for Y, Z
+X_COMPONENT = np.array(X_BIT, dtype=np.int64)  # 1 for X, Y
+Z_COMPONENT = np.array(Z_BIT, dtype=np.int64)  # 1 for Y, Z
 
 
 def as_fidelity_vector(values) -> np.ndarray:

@@ -79,8 +79,8 @@ from .pauli import (
 )
 
 # Accepted label classes for the two bilateral parity checks.
-Z_CHECK_ACCEPT = np.array([1, 0, 0, 1], dtype=bool)  # {I, Z}
-X_CHECK_ACCEPT = np.array([1, 1, 0, 0], dtype=bool)  # {I, X}
+Z_CHECK_ACCEPT = X_COMPONENT == 0  # {I, Z}
+X_CHECK_ACCEPT = Z_COMPONENT == 0  # {I, X}
 
 #: most purification rounds a schedule may run per lane, sum(counts)
 MAX_ROUNDS = 10_000
@@ -152,13 +152,13 @@ class PumpResult:
     """Output of one pumping run.
 
     ``success_probs`` holds each stage's success probability, ``p_net`` the
-    net success probability of one full attempt and ``conditionals`` each
-    stage's per-round conditional success probabilities.
+    net success probability of one full attempt, ``conditionals`` each
+    stage's per-round conditional success probabilities and
+    ``program.tally`` the operation counts of one attempt.
     """
 
     f_out: np.ndarray
     success_probs: dict[str, float]
-    attempt_cost: OpsTally
     p_net: float
     conditionals: tuple[list[float], ...] = field(repr=False)
     program: StageProgram = field(repr=False)
@@ -418,7 +418,6 @@ class Lanes:
         return PumpResult(
             f_out=self.f_out[b],
             success_probs={st.name: float(p[b]) for st, p in zip(program.stages, self.probs)},
-            attempt_cost=program.tally,
             p_net=float(self.p_net[b]),
             conditionals=tuple(c[:, b].tolist() for c in self.conditionals),
             program=program,

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _FROM_BITS, _X_BIT, _Z_BIT, I, X, Y, Z, NoiseParams, as_fidelity_vector, label_mul
+from .pauli import (FROM_BITS, X_BIT, X_COMPONENT, Z_BIT, Z_COMPONENT, I, X, Y, Z, NoiseParams, as_fidelity_vector,
+                    label_mul)
 
 
 class GateKind(enum.Enum):
@@ -68,7 +69,7 @@ class GateAggregates:
     p_xbarz: float
 
 
-_CLASS = {"z": (Y, Z), "zbar": (I, X), "x": (X, Y), "xbar": (I, Z)}
+_CLASS = {"z": Z_COMPONENT == 1, "zbar": Z_COMPONENT == 0, "x": X_COMPONENT == 1, "xbar": X_COMPONENT == 0}
 
 
 def _class_sum(table: np.ndarray, row_class: str, col_class: str) -> float:
@@ -184,8 +185,8 @@ _LAYOUTS = {
 def _propagate(ops, start_index: int, labels: dict[int, int]) -> tuple[int, int]:
     """Push a sparse Pauli through the ops from ``start_index`` on; returns
     the resulting (syndrome, data) output error including flip corrections."""
-    x = [_X_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
-    z = [_Z_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
+    x = [X_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
+    z = [Z_BIT[labels.get(q, I)] for q in (_A_IN, _ES, _ED, _B_IN)]
     frame = [I, I]
     for op in ops[start_index:]:
         if op[0] == "cz":
@@ -206,8 +207,8 @@ def _propagate(ops, start_index: int, labels: dict[int, int]) -> tuple[int, int]
             continue
         else:
             raise AssertionError(f"unknown op {op!r}")
-    out_a = label_mul(_FROM_BITS[x[_ES]][z[_ES]], frame[0])
-    out_b = label_mul(_FROM_BITS[x[_ED]][z[_ED]], frame[1])
+    out_a = label_mul(FROM_BITS[x[_ES]][z[_ES]], frame[0])
+    out_b = label_mul(FROM_BITS[x[_ED]][z[_ED]], frame[1])
     return out_a, out_b
 
 
@@ -215,7 +216,7 @@ def _canonical_fresh_syndrome(out: tuple[int, int]) -> tuple[int, int]:
     # The freshly prepared syndrome output has the X(out_A) Z(out_B) gauge;
     # pick the representative without an X component on the syndrome side.
     a, b = out
-    if _X_BIT[a]:
+    if X_BIT[a]:
         return label_mul(a, X), label_mul(b, Z)
     return a, b
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from test_readme import readme_commands
 
-from distqc import cli, telegate
+from distqc import cli, oracles, telegate
 from distqc.cli import MAX_GRID, build_parser, main
 from distqc.oracles import SUITES
 from distqc.pauli import ChannelParams, depolarizing_noise
@@ -218,6 +218,24 @@ def test_ttg_maps_a_table_mismatch_to_exit_two(capsys, monkeypatch):
     assert dev > 1e-12
     assert captured.err == ("internal discrepancy: kind I: circuit table deviates from the closed form "
                             f"by {dev:.3e}\n")
+
+
+@pytest.mark.parametrize("deviation, code", [(np.nextafter(oracles.TOL, 0), 0), (oracles.TOL, 2)])
+def test_ttg_exits_two_from_a_deviation_of_tol_on(capsys, monkeypatch, deviation, code):
+    table = np.zeros((4, 4))
+    table[3, 1] = deviation
+    monkeypatch.setattr(cli, "gate_error_table", lambda *args: np.zeros((4, 4)))
+    monkeypatch.setattr(cli, "gate_error_table_from_circuit", lambda *args: table)
+    assert main(["ttg", "--kind", "II", "--fbar", "1,0,0,0"]) == code
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("deviation, verdict", [(np.nextafter(1.0, 0), "PASS"), (1.0, "FAIL"), (np.nan, "FAIL")])
+def test_verify_passes_a_suite_only_strictly_below_its_tolerance(capsys, monkeypatch, deviation, verdict):
+    monkeypatch.setattr(oracles, "SUITES", (("edge", lambda rng: (deviation, 1.0)),))
+    code, out = run(capsys, "verify")
+    assert out.split()[:2] == [verdict, "edge"]
+    assert code == (0 if verdict == "PASS" else 2)
 
 
 # stdout recorded before the sweeps were evaluated lane by lane; every byte,

@@ -143,3 +143,21 @@ def test_as_fidelity_vector_validation():
         as_fidelity_vector([np.nan, 0.0, 0.0, 0.0])  # NaN fails every comparison
     with pytest.raises(ValueError, match="outside"):
         as_fidelity_vector([1.0, np.nan, 0.0, 0.0])
+
+
+# ATOL = 1e-12 is the slack of every input bound: an input on a bound passes
+def test_inputs_on_their_bounds_pass():
+    f = as_fidelity_vector([1 + 1e-12, -1e-12, 0.0, 0.0])  # on both entry bounds
+    assert f[0] == 1 + 1e-12 and f[1] == -1e-12
+    as_fidelity_vector([1.0, 0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        as_fidelity_vector([1 + 2e-12, -2e-12, 0.0, 0.0])
+    assert ChannelParams(1.0).f_ini.tolist() == [1.0, 0.0, 0.0, 0.0]
+    table = np.zeros((4, 4))
+    table[0, 0], table[1, 2] = 1 + 1e-12, -1e-12
+    assert NoiseParams(p_table=table, p_M=0.0).p_table[1, 2] == -1e-12
+    table[0, 0], table[1, 2] = 1 + 2e-12, -2e-12
+    with pytest.raises(ValueError, match="non-negative"):
+        NoiseParams(p_table=table, p_M=0.0)
+    assert effective_pg(0.0, 0.0, 0) == 0.0
+    assert effective_pg(0.0, 1e-4, 0) == 0.0

@@ -243,7 +243,7 @@ def test_pump_single_empty_schedule_returns_channel():
 def test_pump_double_empty_schedule_returns_channel():
     result = pump_double(ChannelParams(0.8), PumpSchedule.double(0, 0, 0), NOISELESS)
     np.testing.assert_allclose(result.f_out, ChannelParams(0.8).f_ini)
-    assert result.attempt_cost.base_pairs == 1
+    assert result.program.tally.base_pairs == 1
 
 
 def test_pump_double_improves_raw_infidelity():
@@ -256,10 +256,10 @@ def test_pump_double_beats_single_at_comparable_budget():
     # against single-pumping schedules spending 78..84 pairs
     channel = ChannelParams(0.8)
     d = pump_double(channel, PumpSchedule.double(3, 4, 14), MILD)
-    assert d.attempt_cost.base_pairs == 79
+    assert d.program.tally.base_pairs == 79
     for counts in ((5, 12), (7, 9), (5, 13)):
         s = pump_single(channel, PumpSchedule.single(*counts), MILD)
-        assert 70 <= s.attempt_cost.base_pairs <= 90
+        assert 70 <= s.program.tally.base_pairs <= 90
         assert 1.0 - d.f_out[0] < 1.0 - s.f_out[0]
 
 
@@ -375,7 +375,7 @@ def test_a_stage_no_attempt_runs_cannot_fail_it():
     bare = pump(channel, PumpSchedule.double(0, 1, 0), NOISELESS)
     assert unused.success_probs["p_lv1"] == 0.0
     assert unused.f_out.tobytes() == bare.f_out.tobytes()
-    assert unused.p_net == bare.p_net and unused.attempt_cost == bare.attempt_cost
+    assert unused.p_net == bare.p_net and unused.program.tally == bare.program.tally
     assert unused.round_chain() == bare.round_chain()
 
 
@@ -403,7 +403,7 @@ def test_stage_program_invariants(schedule, F, p):
     else:
         n1, m1, m2 = schedule.counts
         pairs, gates = 1 + 2 * m1 + m2 * (n1 + 2), 4 * m1 + m2 * (2 * n1 + 4)
-    tally = result.attempt_cost
+    tally = result.program.tally
     assert (tally.base_pairs, tally.twoq_gates, tally.measurements) == (pairs, gates, gates)
 
     program = stage_program(schedule)

@@ -100,12 +100,15 @@ def test_aggregates_match_compact_forms_at_random_points(kind):
 
 @pytest.mark.parametrize("kind", list(GateKind))
 def test_circuit_oracle_agrees_with_tables(kind):
+    # a uniform table cannot tell where a noise source starts; a general
+    # table for each side can
     rng = np.random.default_rng(23)
     for _ in range(50):
         f_bar, noise = random_point(rng)
-        closed = gate_error_table(kind, f_bar, noise)
-        circuit = gate_error_table_from_circuit(kind, f_bar, noise)
-        assert np.abs(closed - circuit).max() < 1e-12
+        for sides in ((noise,), (general_noise(rng), general_noise(rng))):
+            closed = gate_error_table(kind, f_bar, *sides)
+            circuit = gate_error_table_from_circuit(kind, f_bar, *sides)
+            assert np.abs(closed - circuit).max() < 1e-12
 
 
 def test_kind_one_is_kind_three_without_the_syndrome_side():
