@@ -21,7 +21,8 @@ from distqc import (
     pump_double,
 )
 
-noise = depolarizing_noise(p_g=1e-3, p_M=1e-3)
+p_g = p_M = 1e-3
+noise = depolarizing_noise(p_g, p_M)
 f_bar = pump_double(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), noise).f_out
 print("purified pair vector:", np.array2string(f_bar, precision=6))
 
@@ -39,6 +40,6 @@ for kind in GateKind:
           f"p_xbarz={agg.p_xbarz:.5f}")
 
 total = gate_error_table(GateKind.II, f_bar, noise).sum()
-budget = (1 - f_bar[0]) + 2 * noise.p_g + 2 * noise.p_M
+budget = (1 - f_bar[0]) + 2 * p_g + 2 * p_M
 print(f"\nkind II total {total:.5f} vs first-order budget "
       f"(1 - F) + 2 p_g + 2 p_M = {budget:.5f}")

@@ -68,9 +68,11 @@ class _Args(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-def _noise_from_args(args) -> NoiseParams:
-    pg_eff = effective_pg(args.pg, args.eta, args.l_wait) if args.eta else args.pg
-    return depolarizing_noise(pg_eff, p_M_of(args.pM, pg_eff))
+def _noise_from_args(args) -> tuple[float, NoiseParams]:
+    """The gate error a point command runs at, --pg with memory error folded
+    in when --eta is given, and its noise."""
+    p_g = effective_pg(args.pg, args.eta, args.l_wait) if "eta" in args.given else args.pg
+    return p_g, depolarizing_noise(p_g, p_M_of(args.pM, p_g))
 
 
 def _f_bar(args, noise: NoiseParams):
@@ -110,13 +112,13 @@ def _csv_out(header: list[str], rows, config: str, args) -> None:
 
 def _cmd_pump(args) -> int:
     schedule = PumpSchedule.parse(args.schedule)
-    noise = _noise_from_args(args)
+    p_g, noise = _noise_from_args(args)
     channel = ChannelParams(args.F)
     result = pump(channel, schedule, noise)
     _json_out(
         {
             "F": args.F,
-            "p_g": noise.p_g,
+            "p_g": p_g,
             "p_M": noise.p_M,
             "schedule": list(schedule.counts),
             "scheme": schedule.scheme,
@@ -134,7 +136,7 @@ def _cmd_pump(args) -> int:
 
 def _cmd_ttg(args) -> int:
     kind = GateKind(args.kind)
-    noise = _noise_from_args(args)
+    p_g, noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
     table = gate_error_table(kind, f_bar, noise)
     deviation = float(np.abs(table - gate_error_table_from_circuit(kind, f_bar, noise)).max())
@@ -146,7 +148,7 @@ def _cmd_ttg(args) -> int:
         {
             "kind": kind.value,
             "f_bar": [float(x) for x in f_bar],
-            "p_g": noise.p_g,
+            "p_g": p_g,
             "p_M": noise.p_M,
             "table": [float(x) for x in table.ravel()],
             "total_error": float(table.sum()),
@@ -159,16 +161,15 @@ def _cmd_ttg(args) -> int:
 
 
 def _cmd_qvalues(args) -> int:
-    noise = _noise_from_args(args)
+    p_g, noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
-    p_M = noise.p_M
-    q = q_values(f_bar, noise.p_g, p_M)
+    q = q_values(f_bar, p_g, noise.p_M)
     cond = ThresholdConditions(margin=args.margin)
     _json_out(
         {
             "f_bar": [float(x) for x in f_bar],
-            "p_g": noise.p_g,
-            "p_M": p_M,
+            "p_g": p_g,
+            "p_M": noise.p_M,
             **dataclasses.asdict(q),
             "margin": args.margin,
             "fault_tolerant": check_ft(q, cond),
@@ -222,12 +223,12 @@ def _cmd_resource(args) -> int:
                 rows.append((level, F, p))
         _csv_out(["K", "F", "p_g"], rows, f"resource levels={args.levels} grid={args.grid}", args)
         return 0
-    noise = _noise_from_args(args)
+    p_g, noise = _noise_from_args(args)
     channel = ChannelParams(args.F)
     K = expected_cost(schedule, channel, noise, model)
     payload = {
         "F": args.F,
-        "p_g": noise.p_g,
+        "p_g": p_g,
         "p_M": noise.p_M,
         "schedule": list(schedule.counts),
         "K": K,

@@ -127,11 +127,6 @@ class NoiseParams:
         if not 0.0 <= self.p_M < 1.0:
             raise ValueError(f"p_M must lie in [0, 1), got {self.p_M}")
 
-    @property
-    def p_g(self) -> float:
-        """Total two-qubit gate error probability."""
-        return float(self.p_table.sum() - self.p_table[0, 0])
-
 
 def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
     """Build NoiseParams with the 15 non-identity gate errors sharing p_g

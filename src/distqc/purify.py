@@ -213,10 +213,8 @@ def _double_terms() -> tuple[np.ndarray, np.ndarray]:
     b, d, c, i, j, k, l = np.ix_(*[np.arange(4)] * 7)
     leg = _T_LEG.astype(np.int16)
     terms = ((16 * leg[i, j, _H[l], b] + leg[k, b, d, c]) * 2 + Z_CHECK_ACCEPT[c]) * 2
-    lists = np.ascontiguousarray((terms + X_CHECK_ACCEPT[d]).reshape(64, 256).T)
-    first = {}
-    index = [first.setdefault(t.tobytes(), len(first)) for t in lists]
-    return np.ascontiguousarray(lists[[index.index(s) for s in range(64)]].T, np.intp), np.array(index)
+    distinct, index = np.unique((terms + X_CHECK_ACCEPT[d]).reshape(64, 256).T, axis=0, return_inverse=True)
+    return np.ascontiguousarray(distinct.T, np.intp), index
 
 
 _D_TERMS, _D_SUMS = _double_terms()

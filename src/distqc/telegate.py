@@ -69,7 +69,9 @@ class GateAggregates:
     p_xbarz: float
 
 
-_CLASS = {"z": Z_COMPONENT == 1, "zbar": Z_COMPONENT == 0, "x": X_COMPONENT == 1, "xbar": X_COMPONENT == 0}
+#: the labels of each subscript class of GateAggregates, ascending, the order gate_error_table adds them in
+_CLASS = {name: np.flatnonzero(mask).tolist() for name, mask in (
+    ("z", Z_COMPONENT == 1), ("zbar", Z_COMPONENT == 0), ("x", X_COMPONENT == 1), ("xbar", X_COMPONENT == 0))}
 
 
 def _class_sum(table: np.ndarray, row_class: str, col_class: str) -> float:
@@ -113,10 +115,11 @@ def gate_error_table(
     pM = pM_s = noise.p_M
     if kind == GateKind.I:
         Q, pM_s = np.zeros((4, 4)), 0.0
+    # the data-side measurement is flipped by an x bit in kind II, by a z bit in kinds I and III
     if kind == GateKind.II:
-        no_flip, flip = (I, Z), (X, Y)
+        no_flip, flip = _CLASS["xbar"], _CLASS["x"]
     elif kind in (GateKind.I, GateKind.III):
-        no_flip, flip = (I, X), (Y, Z)
+        no_flip, flip = _CLASS["zbar"], _CLASS["z"]
     else:
         raise ValueError(f"unknown gate kind {kind!r}")
 

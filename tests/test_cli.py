@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -15,8 +16,9 @@ from test_readme import readme_commands
 from distqc import cli, oracles, telegate
 from distqc.cli import MAX_GRID, build_parser, main
 from distqc.oracles import SUITES
-from distqc.pauli import ChannelParams, depolarizing_noise
+from distqc.pauli import ChannelParams, depolarizing_noise, effective_pg
 from distqc.purify import PumpSchedule, pump
+from distqc.threshold import ThresholdConditions, p_M_of, pipeline_passes, q_values
 
 
 def run(capsys, *argv):
@@ -171,6 +173,47 @@ def test_memory_error_substitution(capsys):
     capsys.readouterr()
 
 
+def test_a_zero_memory_rate_given_reads_the_wait(capsys):
+    # --eta folds memory error whenever it is given, 0 included, and adds
+    # nothing at 0: the same bytes as a call without memory error
+    plain = main(["pump", "--F", "0.9", "--schedule", "1,2,2"]), *capsys.readouterr()
+    code = main(["pump", "--F", "0.9", "--eta", "0", "--l-wait", "3", "--schedule", "1,2,2"])
+    assert (code, *capsys.readouterr()) == plain
+    assert plain[0] == 0 and plain[2] == ""
+
+
+def test_point_commands_run_at_the_rate_they_were_given(capsys):
+    # each point command echoes the rate it ran at, --pg with memory error
+    # folded in when --eta is given; qvalues evaluates its rates and its
+    # verdict at that rate, as every threshold-curve lane does
+    rng = np.random.default_rng(2012)
+    schedules = ["1,2,2", "3,4,14", "5,13", "2,4"]
+    for _ in range(60):
+        F, p_g = rng.uniform(0.7, 1.0), 10 ** rng.uniform(-4, -2)
+        rule = ("equal", "four_fifteenths")[rng.integers(2)]
+        schedule = schedules[rng.integers(len(schedules))]
+        margin = (1.0, 1 / 3)[rng.integers(2)]
+        point = ["--F", repr(F), "--pg", repr(p_g), "--pM", rule]
+        rate = p_g
+        if rng.random() < 0.5:
+            eta, l_wait = 10 ** rng.uniform(-7, -5), int(rng.integers(4))
+            point += ["--eta", repr(eta), "--l-wait", str(l_wait)]
+            rate = effective_pg(p_g, eta, l_wait)
+        p_M = p_M_of(rule, rate)
+        code, out = run(capsys, "qvalues", *point, "--schedule", schedule, "--margin", repr(margin))
+        assert code == 0
+        payload = json.loads(out)
+        parsed = PumpSchedule.parse(schedule)
+        f_out = pump(ChannelParams(F), parsed, depolarizing_noise(rate, p_M)).f_out
+        q = dataclasses.asdict(q_values(f_out, rate, p_M))
+        assert {k: payload[k] for k in q} == q
+        assert payload["fault_tolerant"] == pipeline_passes(F, rate, parsed, rule, ThresholdConditions(margin))
+        for argv in (["pump", *point, "--schedule", schedule], ["ttg", "--kind", "II", *point],
+                     ["resource", *point, "--schedule", schedule], ["qvalues", *point]):
+            code, out = run(capsys, *argv)
+            assert code == 0 and json.loads(out)["p_g"] == rate
+
+
 def test_verify_passes(capsys):
     code, out = run(capsys, "verify")
     assert code == 0
@@ -319,7 +362,7 @@ K,F,p_g
   ],
   "infidelity": 0.01037502284840619,
   "p_M": 0.001,
-  "p_g": 0.0010000000000000009,
+  "p_g": 0.001,
   "schedule": [
     5,
     13
@@ -346,7 +389,7 @@ K,F,p_g
   ],
   "infidelity": 0.002528838559618163,
   "p_M": 0.0005333333333333334,
-  "p_g": 0.0020000000000000018,
+  "p_g": 0.002,
   "schedule": [
     3,
     4,
@@ -366,7 +409,7 @@ K,F,p_g
   "F": 0.9,
   "K": 16574.897987895078,
   "p_M": 0.001,
-  "p_g": 0.0010000000000000009,
+  "p_g": 0.001,
   "schedule": [
     2,
     4,
@@ -396,7 +439,7 @@ K,F,p_g
   ],
   "kind": "I",
   "p_M": 0.001,
-  "p_g": 0.0020000000000000018,
+  "p_g": 0.002,
   "table": [
     0.0,
     0.0002666666666666667,
@@ -438,7 +481,7 @@ K,F,p_g
   ],
   "kind": "II",
   "p_M": 0.001,
-  "p_g": 0.0020000000000000018,
+  "p_g": 0.002,
   "table": [
     0.0,
     0.0002666666666666667,
@@ -480,7 +523,7 @@ K,F,p_g
   ],
   "kind": "III",
   "p_M": 0.001,
-  "p_g": 0.0020000000000000018,
+  "p_g": 0.002,
   "table": [
     0.0,
     0.0002666666666666667,
@@ -669,20 +712,26 @@ def test_schedule_beyond_the_round_cap_is_refused(capsys):
     assert elapsed < 1.0
 
 
-@pytest.mark.parametrize("count", [MAX_GRID + 1, 10**9], ids=["cap + 1", "a billion"])
+@pytest.mark.parametrize("cap, count", [(3, 3), (MAX_GRID, MAX_GRID + 1), (MAX_GRID, 10**9)],
+                         ids=["at a cap of 3", "cap + 1", "a billion"])
 @pytest.mark.parametrize("command", [
     ["threshold-curve", "--schedule", "2,4"],
     ["infidelity-contour", "--schedule", "2,4", "--level", "1e-3"],
     ["resource", "--schedule", "1,2,2", "--levels", "30"],
 ], ids=["threshold-curve", "infidelity-contour", "resource"])
-def test_grid_beyond_its_cap_is_refused(capsys, command, count):
-    # the count is refused before a grid point is built
+def test_grid_beyond_its_cap_is_refused(capsys, monkeypatch, command, cap, count):
+    # a count past the cap is refused before a grid point is built; a grid
+    # of the cap's size runs (at a small cap, so that it runs fast)
+    monkeypatch.setattr(cli, "MAX_GRID", cap)
     start = time.perf_counter()
     code = main([*command, "--grid", f"0.7:1.0:{count}"])
     elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == f"error: grid count {count} exceeds MAX_GRID = 100000 points\n"
+    if count == cap:
+        assert code == 0 and captured.err == "" and len(captured.out.splitlines()) > 2
+    else:
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: grid count {count} exceeds MAX_GRID = 100000 points\n"
     assert elapsed < 1.0
 
 
@@ -695,18 +744,22 @@ def test_empty_level_list_is_refused(capsys, levels):
     assert captured.err == "error: --levels needs at least one level\n"
 
 
-def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch):
+@pytest.mark.parametrize("levels", ["1,2,3", "1,2"], ids=["beyond the cap", "at the cap"])
+def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch, levels):
     # each level x grid point is one lane of search state; the product is
-    # capped like a grid and refused before any lane is built
-    def no_lanes(*_):
-        raise AssertionError("lanes were built")
-
+    # capped like a grid and refused before any lane is built, and a product
+    # at the cap is built
+    built = []
     monkeypatch.setattr(cli, "MAX_GRID", 4)
-    monkeypatch.setattr(cli, "contour_expected_cost", no_lanes)
-    code = main(["resource", "--schedule", "1,2,2", "--levels", "1,2,3", "--grid", "0.9:0.95:2"])
+    monkeypatch.setattr(cli, "contour_expected_cost",
+                        lambda schedule, levels, grid, model: built.append(len(levels) * len(grid)) or [])
+    code = main(["resource", "--schedule", "1,2,2", "--levels", levels, "--grid", "0.9:0.95:2"])
     captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == "error: 3 levels x 2 grid points exceed MAX_GRID = 4 contour lanes\n"
+    if levels == "1,2":
+        assert (code, captured.err, built) == (0, "", [4])
+    else:
+        assert code == 1 and captured.out == "" and built == []
+        assert captured.err == "error: 3 levels x 2 grid points exceed MAX_GRID = 4 contour lanes\n"
 
 
 def test_cost_contour_refuses_an_infinite_level(capsys):

@@ -80,7 +80,6 @@ def test_depolarizing_noise_arithmetic():
 def test_depolarizing_noise_normalized(p_g):
     noise = depolarizing_noise(p_g, 0.0)
     assert abs(noise.p_table.sum() - 1.0) < 1e-12
-    assert noise.p_g == pytest.approx(p_g, abs=1e-12)
 
 
 @pytest.mark.parametrize("p_g,p_M", [(1.0, 0.0), (-0.1, 0.0), (0.0, 1.0), (0.0, -0.2)])

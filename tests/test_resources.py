@@ -160,6 +160,9 @@ def test_a_stage_no_attempt_runs_costs_nothing():
 
 
 def test_contour_rejects_bad_level():
+    # K is at least one pair, so a level of 0 would trace nothing
+    with pytest.raises(ValueError, match="^contour level must be finite and positive, got 0.0$"):
+        contour_expected_cost(SCHED_122, [0.0], [0.9])
     with pytest.raises(ValueError):
         contour_expected_cost(SCHED_122, [-5.0], [0.9])
     with pytest.raises(ValueError):

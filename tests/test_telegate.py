@@ -17,10 +17,11 @@ NOISELESS = depolarizing_noise(0.0, 0.0)
 
 
 def random_point(rng):
+    """A purified vector, a gate error and its depolarizing noise."""
     pg, pM = rng.uniform(0, 0.02, 2)
     tail = rng.uniform(0, 0.01, 3)
     f_bar = np.array([1 - tail.sum(), *tail])
-    return f_bar, depolarizing_noise(pg, pM)
+    return f_bar, pg, depolarizing_noise(pg, pM)
 
 
 def general_noise(rng, total=0.03):
@@ -91,9 +92,9 @@ def test_type_two_three_aggregates_closed_form(kind):
 def test_aggregates_match_compact_forms_at_random_points(kind):
     rng = np.random.default_rng(17)
     for _ in range(20):
-        f_bar, noise = random_point(rng)
+        f_bar, pg, noise = random_point(rng)
         agg = aggregates(gate_error_table(kind, f_bar, noise))
-        ref = closed_form_aggregates(kind, f_bar, noise.p_g, noise.p_M)
+        ref = closed_form_aggregates(kind, f_bar, pg, noise.p_M)
         for name in ("p_zx", "p_zxbar", "p_zbarx", "p_xz", "p_xzbar", "p_xbarz"):
             assert getattr(agg, name) == pytest.approx(getattr(ref, name), abs=1e-15)
 
@@ -104,7 +105,7 @@ def test_circuit_oracle_agrees_with_tables(kind):
     # table for each side can
     rng = np.random.default_rng(23)
     for _ in range(50):
-        f_bar, noise = random_point(rng)
+        f_bar, _, noise = random_point(rng)
         for sides in ((noise,), (general_noise(rng), general_noise(rng))):
             closed = gate_error_table(kind, f_bar, *sides)
             circuit = gate_error_table_from_circuit(kind, f_bar, *sides)
@@ -116,7 +117,7 @@ def test_kind_one_is_kind_three_without_the_syndrome_side():
     # syndrome-side gate and no syndrome-side measurement flip, bit for bit
     rng = np.random.default_rng(31)
     for _ in range(50):
-        f_bar, _ = random_point(rng)
+        f_bar, _, _ = random_point(rng)
         noise = general_noise(rng)
         three = gate_error_table(GateKind.III, f_bar, noise, NOISELESS)
         three[X, Z] -= noise.p_M

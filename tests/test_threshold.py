@@ -81,10 +81,10 @@ def test_q_values_equals_generic_route():
 
 def test_q_values_from_full_gate_tables():
     f_bar = np.array([0.996, 0.002, 0.001, 0.001])
-    noise = depolarizing_noise(1.2e-3, 0.8e-3)
-    per_gate = syndrome_round_aggregates(f_bar, noise)
-    q = q_values_generic(per_gate, p_P=0.0, p_M=noise.p_M)
-    q_direct = q_values(f_bar, noise.p_g, noise.p_M)
+    pg, pM = 1.2e-3, 0.8e-3
+    per_gate = syndrome_round_aggregates(f_bar, depolarizing_noise(pg, pM))
+    q = q_values_generic(per_gate, p_P=0.0, p_M=pM)
+    q_direct = q_values(f_bar, pg, pM)
     for name in ("qa", "qb", "qc", "qab", "qac", "qbb"):
         assert getattr(q, name) == pytest.approx(getattr(q_direct, name), rel=1e-12)
 

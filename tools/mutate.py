@@ -53,6 +53,12 @@ EQUIVALENT = {
      "< -> <="):
         "Generator.random draws from [0, 1) on a grid of 2**-53; the two differ only on a draw "
         "equal to a round's conditional success probability, an event of probability 2**-53 at most",
+    ("purify.py", "flips = rng.random((n_samples, 2)) < noise.p_M", "< -> <="):
+        "Generator.random draws from [0, 1) on a grid of 2**-53; the two differ only on a draw "
+        "equal to p_M, an event of probability 2**-53 at most",
+    ("purify.py", "flips = rng.random((n_samples, 4)) < noise.p_M", "< -> <="):
+        "Generator.random draws from [0, 1) on a grid of 2**-53; the two differ only on a draw "
+        "equal to p_M, an event of probability 2**-53 at most",
     ("pauli.py", "if not abs(f.sum() - 1.0) <= ATOL:", "<= -> <"):
         "a float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
     ("pauli.py", "if not abs(table.sum() - 1.0) <= ATOL:", "<= -> <"):
