@@ -70,7 +70,10 @@ class _Args(argparse.Namespace):
 
 def _noise_from_args(args) -> tuple[float, NoiseParams]:
     """The gate error a point command runs at, --pg with memory error folded
-    in when --eta is given, and its noise."""
+    in when --eta is given, and its noise.  --eta needs --l-wait, as
+    --l-wait needs --eta: alone, either would be ignored."""
+    if "eta" in args.given and "l_wait" not in args.given:
+        raise ValueError("--eta needs --l-wait: memory error is eta times the waiting steps")
     p_g = effective_pg(args.pg, args.eta, args.l_wait) if "eta" in args.given else args.pg
     return p_g, depolarizing_noise(p_g, p_M_of(args.pM, p_g))
 

@@ -74,8 +74,12 @@ _CLASS = {name: np.flatnonzero(mask).tolist() for name, mask in (
     ("z", Z_COMPONENT == 1), ("zbar", Z_COMPONENT == 0), ("x", X_COMPONENT == 1), ("xbar", X_COMPONENT == 0))}
 
 
-def _class_sum(table: np.ndarray, row_class: str, col_class: str) -> float:
-    return float(table[np.ix_(_CLASS[row_class], _CLASS[col_class])].sum())
+#: the flat indices into a 4x4 table of the entries each GateAggregates field
+#: adds, row-major as ``np.ix_`` lists them, so each class sum adds its four
+#: entries in table order
+_SUMS = {f"p_{row}{col}": [4 * r + c for r in _CLASS[row] for c in _CLASS[col]] for row, col in (
+    ("z", "x"), ("z", "xbar"), ("zbar", "x"), ("x", "z"), ("x", "zbar"), ("xbar", "z"))}
+_SUM_INDEX = np.array(list(_SUMS.values()))
 
 
 def aggregates(table: np.ndarray) -> GateAggregates:
@@ -83,14 +87,7 @@ def aggregates(table: np.ndarray) -> GateAggregates:
     t = np.asarray(table, dtype=float)
     if t.shape != (4, 4):
         raise ValueError(f"error table must be 4x4, got shape {t.shape}")
-    return GateAggregates(
-        p_zx=_class_sum(t, "z", "x"),
-        p_zxbar=_class_sum(t, "z", "xbar"),
-        p_zbarx=_class_sum(t, "zbar", "x"),
-        p_xz=_class_sum(t, "x", "z"),
-        p_xzbar=_class_sum(t, "x", "zbar"),
-        p_xbarz=_class_sum(t, "xbar", "z"),
-    )
+    return GateAggregates(**dict(zip(_SUMS, t.take(_SUM_INDEX).sum(axis=1).tolist())))
 
 
 def gate_error_table(

@@ -17,16 +17,20 @@ fidelity (of a contour: every level and fidelity) is a lane holding its own
 bracket, and each step pumps the local error rates of all live lanes
 (:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
 rate in a batch.  Both sweeps ask where a lane's verdict turns from pass to
-fail, and :func:`_crossings` answers both: it scans a fixed rate grid,
-then bisects every bracket together, two steps per pass: one pass pumps
-the midpoint and both quarter points of every bracket, the quarter point
-on the side the midpoint's verdict keeps being the next midpoint.  Each
-point is bitwise the point a search of that fidelity alone finds;
-``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
+fail, the sign of a value: the smallest relative slack of the
+fault-tolerance bounds (:func:`ft_slack`), or a contour's level less its
+read.  :func:`_crossings` answers both: it scans a fixed rate grid, then
+bisects every bracket together.  Each bisection pass predicts each lane's
+path by regula falsi on the values at its bracket ends, pumps the predicted
+path's midpoints in one pass and follows the path as far as the pumped
+verdicts confirm it, and one step beyond.  Each point is bitwise the point
+a plain bisection of that fidelity alone finds; ``threshold_pg`` and
+``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -155,9 +159,11 @@ def raussendorf_q_values(p_g: float) -> QTuple:
     return q_values_generic(per_gate, p_P=p_g, p_M=p_g)
 
 
-def fault_tolerant(q: QTuple, cond: ThresholdConditions):
-    """Whether the error rates lie strictly below their (margined) bounds,
-    lane by lane when the rates are lane arrays.
+def ft_slack(q: QTuple, cond: ThresholdConditions):
+    """Smallest relative slack (bound - rate) / bound of the (margined)
+    fault-tolerance bounds, lane by lane when the rates are lane arrays:
+    positive exactly where every rate lies strictly below its bound, and NaN
+    where a rate is NaN.
 
     See :class:`ThresholdConditions` for the margin semantics: the full
     four-class test at margin 1, the independent-plus-correlated operating
@@ -165,8 +171,16 @@ def fault_tolerant(q: QTuple, cond: ThresholdConditions):
     """
     m = cond.margin
     if m == 1.0:
-        return (q.qa < QA_MAX) & (q.qb < QBC_MAX) & (q.qc < QBC_MAX) & (q.q_correlated < QCOR_MAX)
-    return (q.qa < m * QA_MAX) & (q.q_correlated < m * QCOR_BUDGET)
+        bounds = ((q.qa, QA_MAX), (q.qb, QBC_MAX), (q.qc, QBC_MAX), (q.q_correlated, QCOR_MAX))
+    else:
+        bounds = ((q.qa, m * QA_MAX), (q.q_correlated, m * QCOR_BUDGET))
+    return functools.reduce(np.minimum, [(bound - rate) / bound for rate, bound in bounds])
+
+
+def fault_tolerant(q: QTuple, cond: ThresholdConditions):
+    """Whether the error rates lie strictly below their (margined) bounds,
+    lane by lane when the rates are lane arrays: :func:`ft_slack` > 0."""
+    return ft_slack(q, cond) > 0
 
 
 def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
@@ -210,21 +224,22 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equa
 
 
 def _passes(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule, cond: ThresholdConditions):
-    """Pipeline verdict of every lane (see :func:`pump_at`): pump, evaluate
-    the error-class rates and check the conditions.  A lane whose pumping
-    underflows has a NaN f_out, so it fails every strict bound."""
+    """Pipeline :func:`ft_slack` of every lane (see :func:`pump_at`), whose
+    sign is its verdict: pump, evaluate the error-class rates and check the
+    conditions.  A lane whose pumping underflows has a NaN f_out and slack,
+    so it fails."""
 
-    def verdict(lanes: Lanes, p):
-        return fault_tolerant(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
+    def slack(lanes: Lanes, p):
+        return ft_slack(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
 
-    return pump_at(schedule, f_ini, p_g, verdict, p_M_rule)
+    return pump_at(schedule, f_ini, p_g, slack, p_M_rule)
 
 
 def pipeline_passes(
     F: float, p_g: float, schedule: PumpSchedule, p_M_rule, cond: ThresholdConditions
 ) -> bool:
     """Pump, evaluate the error-class rates and check the conditions."""
-    return bool(_passes(schedule, ChannelParams(F).f_ini[None], np.array([p_g]), p_M_rule, cond)[0])
+    return bool(_passes(schedule, ChannelParams(F).f_ini[None], np.array([p_g]), p_M_rule, cond)[0] > 0)
 
 
 #: upper end of every search over the local error rate: the last rate of
@@ -236,45 +251,80 @@ P_MAX = 0.05
 REL_TOL = 1e-4
 
 
-def _crossings(passes, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
+#: bisection steps a pass predicts and checks per lane: a bisection pass
+#: pumps at most this many midpoints of each bracketed lane
+PATH_STEPS = 7
+
+
+def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     """Where the verdict of each of n lanes turns from pass to fail.
 
-    ``passes(lanes, p)`` returns the verdicts of the lanes (an index array)
-    at the rates ``p``.  The lanes scan ``grid`` rate by rate, as many rates
-    per pass as fit in LANE_BLOCK lanes; with ``first_fail`` a lane leaves at
-    its first failing rate.  A lane that passes at ``grid[0]`` and turns once
-    is bracketed around its first fail, and all bracketed lanes bisect at
+    ``value(lanes, p)`` returns a value of each lane (an index array) at the
+    rates ``p`` whose sign is its verdict: it passes where the value, cast to
+    float, is > 0.  The lanes scan ``grid`` rate by rate, as many rates per
+    pass as fit in LANE_BLOCK lanes; with ``first_fail`` a lane leaves at its
+    first failing rate.  A lane that passes at ``grid[0]`` and turns once is
+    bracketed around its first fail, and all bracketed lanes bisect at
     ``mean(lo, hi)`` together while ``wide(lo, hi)`` and the midpoint moves
-    (near 0, subnormal rates stop it before ``wide`` does).  Each pass takes
-    two steps: it pumps the midpoint and the two quarter points, and takes
-    the second step, at the quarter point inside the new bracket, only
-    where the first step leaves the lane bisecting.  Returns the verdicts at
-    ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every lane."""
-    flags = np.zeros((n, grid.size), dtype=bool)
+    (near 0, subnormal rates stop it before ``wide`` does).
+
+    Each pass predicts every lane's bisection path and checks it: regula
+    falsi on the values at the bracket ends predicts the crossing, the
+    bisection replayed on the predicted verdicts gives up to PATH_STEPS
+    midpoints, and one pass pumps them all.  The lane then takes the steps
+    whose verdicts were predicted right and the first wrong one, so every
+    step it takes is the bisection's own, on a pumped verdict.  Returns the
+    verdicts at ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every
+    lane."""
+    values = np.full((n, grid.size), math.nan)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
         rates = grid[j:j + step]  # lanes rate by rate, so a pump_at block builds few rates' maps
-        flags[live, j:j + step] = ok = passes(
+        values[live, j:j + step] = v = value(
             np.tile(live, rates.size), np.repeat(rates, live.size)).reshape(rates.size, -1).T
-        live = live[ok.all(axis=1)] if first_fail else live
+        live = live[(v > 0).all(axis=1)] if first_fail else live
         j += step
+    flags = values > 0
     if first_fail:
         flags = np.logical_and.accumulate(flags, axis=1)
     bracketed = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
     k = np.argmin(flags, axis=1)  # first failing scan rate
     lo, hi = grid[k - 1], grid[k]
+    v_lo, v_hi = values[np.arange(n), k - 1], values[np.arange(n), k]
+
+    def bisect(l, h, mid, ok):
+        """One bisection step at ``mid`` = mean(l, h) with verdict ``ok``: the
+        new bracket, and whether the lane bisects on from it."""
+        l_new, h_new = np.where(ok, mid, l), np.where(ok, h, mid)
+        return l_new, h_new, (mid != l) & (mid != h) & wide(l_new, h_new)
+
     go = bracketed & wide(lo, hi)
-    while go.any():  # two bisection steps per pass: the midpoint and both quarter points
+    while go.any():
         l, h = lo[go], hi[go]
-        mid = mean(l, h)
-        q1, q3 = mean(l, mid), mean(mid, h)
-        ok, ok1, ok3 = passes(np.tile(np.flatnonzero(go), 3), np.concatenate([mid, q1, q3])).reshape(3, -1)
-        on = (mid != l) & (mid != h)  # a midpoint rounded onto an end stops its lane
-        l, h = np.where(ok, mid, l), np.where(ok, h, mid)
-        on &= wide(l, h)
-        mid, ok = np.where(ok, q3, q1), np.where(ok, ok3, ok1)  # mean(l, h) of the new bracket
-        lo[go], hi[go] = np.where(on & ok, mid, l), np.where(on & ~ok, mid, h)
-        go[go] = on & (mid != l) & (mid != h) & wide(lo[go], hi[go])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            x = l + (h - l) * (v_lo[go] / (v_lo[go] - v_hi[go]))  # regula falsi
+        x = np.where(np.isfinite(x), x, mean(l, h))
+        mids, guess = np.empty((PATH_STEPS, l.size)), np.empty((PATH_STEPS, l.size), dtype=bool)
+        on = np.ones((PATH_STEPS, l.size), dtype=bool)  # the steps the replayed bisection takes
+        for s in range(PATH_STEPS):  # the bisection on the predicted verdicts
+            mids[s] = mean(l, h)
+            guess[s] = mids[s] < x
+            l, h, more = bisect(l, h, mids[s], guess[s])
+            on[s + 1:] &= more
+        pumped = np.full(mids.shape, math.nan)
+        pumped[on] = value(np.broadcast_to(np.flatnonzero(go), mids.shape)[on], mids[on])
+        l, h, v_l, v_h = lo[go], hi[go], v_lo[go], v_hi[go]
+        walk = more = on[0]
+        for s in range(PATH_STEPS):  # the bisection on the pumped verdicts, while they were predicted
+            ok = pumped[s] > 0
+            l_s, h_s, more_s = bisect(l, h, mids[s], ok)
+            l, h, more = np.where(walk, l_s, l), np.where(walk, h_s, h), np.where(walk, more_s, more)
+            v_l, v_h = np.where(walk & ok, pumped[s], v_l), np.where(walk & ~ok, pumped[s], v_h)
+            walk = walk & more_s & (ok == guess[s])
+            if not walk.any():
+                break
+        lo[go], hi[go], v_lo[go], v_hi[go] = l, h, v_l, v_h
+        go[go] = more
     return flags[:, 0], bracketed, mean(lo, hi)
 
 
@@ -367,15 +417,15 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
     def guarded(lanes: Lanes, _):
         return read(lanes)
 
-    def passes(k, p):
-        """Pump each distinct (rate, fidelity) of lanes k once and compare
-        it with the level of every lane."""
+    def below(k, p):
+        """Pump each distinct (rate, fidelity) of lanes k once: the level of
+        every lane less its read, positive where the read lies below it."""
         rate, r = np.unique(p, return_inverse=True)
         key, same = np.unique(r * n + k % n, return_inverse=True)  # rate-major, as the lanes come
-        return pump_at(schedule, f_ini[key % n], rate[key // n], guarded)[same] < goal[k]
+        return goal[k] - pump_at(schedule, f_ini[key % n], rate[key // n], guarded)[same]
 
     _, found, rates = _crossings(
-        passes, goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        below, goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
         lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
     )
     return [[(float(F), p) for F, p, ok in zip(F_grid, row, oks) if ok]

@@ -182,6 +182,20 @@ def test_a_zero_memory_rate_given_reads_the_wait(capsys):
     assert plain[0] == 0 and plain[2] == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("pump", "--F", "0.9", "--schedule", "1,2,2"),
+    ("ttg", "--kind", "II"),
+    ("qvalues", "--fbar", "0.97,0.01,0.01,0.01"),
+    ("resource", "--schedule", "1,2,2"),
+], ids=lambda argv: argv[0])
+def test_memory_rate_without_a_wait_is_refused(capsys, argv):
+    # --l-wait defaults to 0 steps, so --eta alone would fold no memory error
+    # and be ignored; it is refused, as --l-wait without --eta is
+    code = main([*argv, "--eta", "1e-4"])
+    assert (code, *capsys.readouterr()) == (
+        1, "", "error: --eta needs --l-wait: memory error is eta times the waiting steps\n")
+
+
 def test_point_commands_run_at_the_rate_they_were_given(capsys):
     # each point command echoes the rate it ran at, --pg with memory error
     # folded in when --eta is given; qvalues evaluates its rates and its

@@ -22,6 +22,8 @@ from distqc.threshold import (
     ThresholdConditions,
     check_ft,
     contour_infidelity,
+    fault_tolerant,
+    ft_slack,
     p_M_of,
     pipeline_passes,
     q_values,
@@ -150,6 +152,20 @@ def test_each_bound_is_strict_on_its_own(margin, rate, bound):
     zero = dict.fromkeys(("qa", "qb", "qc", "qab", "qac", "qbb"), 0.0)
     assert not check_ft(QTuple(**{**zero, rate: bound}), cond)
     assert check_ft(QTuple(**{**zero, rate: np.nextafter(bound, 0)}), cond)
+
+
+@pytest.mark.parametrize("margin, rate, bound", STRICT_BOUNDS)
+def test_slack_is_the_smallest_relative_slack(margin, rate, bound):
+    # every other rate is 0, with slack 1; the verdict is the slack's sign,
+    # and check_ft gives it as a plain bool
+    cond = ThresholdConditions(margin=margin)
+    zero = dict.fromkeys(("qa", "qb", "qc", "qab", "qac", "qbb"), 0.0)
+    assert ft_slack(QTuple(**{**zero, rate: 0.5 * bound}), cond) == 0.5
+    assert ft_slack(QTuple(**{**zero, rate: 2.0 * bound}), cond) == -1.0
+    assert math.isnan(ft_slack(QTuple(**{**zero, rate: math.nan}), cond))
+    assert check_ft(QTuple(**{**zero, rate: 0.5 * bound}), cond) is True
+    lanes = QTuple(**{**zero, rate: np.array([0.5, 1.0, math.nan]) * bound})
+    assert fault_tolerant(lanes, cond).tolist() == [True, False, False]
 
 
 def test_check_ft_monotone():
@@ -378,8 +394,8 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     # every sweep pumps its lanes in blocks of at most LANE_BLOCK, and the
     # block size changes no point; a scan pass holds as many rates as fit in
     # LANE_BLOCK lanes, but at least one, so no scan pass exceeds the sweep's
-    # lanes; a bisection pass pumps the midpoint and both quarter points of
-    # each bracket, so it holds at most 3 lanes per bracketed lane
+    # lanes; a bisection pass pumps the predicted path of each bracket, so it
+    # holds at most PATH_STEPS lanes per bracketed lane
     grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
     levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
     curve = threshold_curve(SCHED_122, grid)
@@ -411,7 +427,7 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     scans = [size for sizes, _ in searches for on_scan, size in sizes if on_scan]
     steps = [(size, bracketed) for sizes, bracketed in searches for on_scan, size in sizes if not on_scan]
     assert max(scans) <= len(levels) * len(cost_grid) == 12
-    assert steps and all(size <= 3 * bracketed for size, bracketed in steps)
+    assert steps and all(size <= threshold.PATH_STEPS * bracketed for size, bracketed in steps)
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
@@ -431,6 +447,34 @@ def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
     monkeypatch.setattr(purify, "_build_maps", recorded)
     assert threshold_curve(SCHED_3414, grid) == curve
     assert sum(built) == 24
+
+
+# pump_lanes calls, lanes and noise points of a few sweeps.  The predicted
+# bisection paths move no point of a sweep, only these counts; they hang on
+# the pumped values alone, so no machine changes them
+PUMP_COUNTS = {
+    "threshold": (lambda: threshold_curve(SCHED_3414, np.linspace(0.7, 1.0, 8)), (3, 296, 62)),
+    "threshold at margin 1/3": (lambda: threshold_curve(
+        SCHED_122, [0.75, 0.8, 0.9, 0.95, 1.0], "four_fifteenths", ThresholdConditions(1 / 3)), (3, 159, 62)),
+    "cost contour": (lambda: contour_expected_cost(
+        SCHED_122, [20.0, 80.0, 400.0], [0.8, 0.9, 0.95, 0.99], CostModel(count_local_ops=True)), (4, 105, 62)),
+    "infidelity contour": (lambda: contour_infidelity([SCHED_3414], 1e-3, np.linspace(0.6, 1.0, 5)), (3, 109, 53)),
+}
+
+
+@pytest.mark.parametrize("sweep", PUMP_COUNTS)
+def test_sweep_pump_counts_are_pinned(monkeypatch, sweep):
+    run, counts = PUMP_COUNTS[sweep]
+    calls = []
+    pump_lanes = threshold.pump_lanes
+
+    def recorded(schedule, f_ini, noises, index):
+        calls.append((len(f_ini), len(noises)))
+        return pump_lanes(schedule, f_ini, noises, index)
+
+    monkeypatch.setattr(threshold, "pump_lanes", recorded)
+    run()
+    assert (len(calls), sum(lanes for lanes, _ in calls), sum(points for _, points in calls)) == counts
 
 
 # --- the crossing search against plain per-lane references -------------------------
@@ -539,6 +583,49 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
     ]
 
 
+@st.composite
+def smooth_values(draw):
+    """A value of the rate p that turns from positive to negative at a
+    crossing c, or never below P_MAX: a line, an exponential, or the smaller
+    of two lines, whose kink lies below c, often inside c's scan bracket.
+    Regula falsi predicts the line's path right and the others' wrong at
+    some step."""
+    c = 10.0 ** draw(st.floats(-6.5, -1.0))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    shape = draw(st.sampled_from(["line", "exponential", "kink"]))
+    if shape == "line":
+        return lambda p: scale * (c - p)
+    if shape == "exponential":
+        rate = draw(st.floats(1.0, 500.0)) / c
+        return lambda p: scale * math.expm1(rate * (c - p))
+    slope, c_far = draw(st.floats(0.01, 0.9)), c * draw(st.floats(1.01, 2.0))
+    return lambda p: scale * min(slope * (c_far - p), c - p)
+
+
+@pytest.mark.parametrize("block", [threshold.LANE_BLOCK, 7])
+@settings(deadline=None, max_examples=40)
+@given(values=st.lists(smooth_values(), min_size=1, max_size=6))
+def test_crossing_searches_on_smooth_values_equal_per_lane_references(block, values):
+    # where the values are smooth the predicted bisection paths are right in
+    # full or wrong at some step; either way each lane ends where the plain
+    # bisection of that lane ends.  A contour reads -value against level 0
+    F_grid = [0.5 + i / 64 for i in range(len(values))]
+
+    def at(f, p, sign):
+        return np.array([sign * values[i](x) for i, x in zip(np.searchsorted(F_grid, f[:, 0]), p)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(threshold, "LANE_BLOCK", block)
+        mp.setattr(threshold, "_passes", lambda schedule, f, p, p_M_rule, cond: at(f, p, 1.0))
+        mp.setattr(threshold, "pump_at", lambda schedule, f, p, read: at(f, p, -1.0))
+        curve = threshold_curve(SCHED_122, F_grid)
+        [contour] = threshold.contours(SCHED_122, [0.0], F_grid, None)
+    for (_, th), v in zip(curve, values):
+        assert same_float(th, reference_threshold(lambda p: v(p) > 0))
+    assert contour == [(F, p) for F, v in zip(F_grid, values)
+                       if (p := reference_crossing(lambda p: -v(p) < 0.0)) is not None]
+
+
 def test_contour_bisection_ends_when_its_midpoint_stops_moving():
     # a crossing a few subnormals above p = 0: REL_TOL * hi underflows to 0,
     # so hi - lo > REL_TOL * hi holds for ever, and 0.5 * (lo + hi) rounds
@@ -557,6 +644,54 @@ def test_contour_bisection_ends_when_its_midpoint_stops_moving():
     )
     assert first[0] and found[0]
     assert 5e-324 <= rates[0] <= 1e-323
+
+
+def test_a_bracket_end_with_no_value_predicts_the_midpoint():
+    # a lane whose value is NaN above its crossing, as where pumping
+    # underflows, gets no regula falsi prediction: its first bisection pass
+    # predicts the crossing at the bracket's midpoint, which fails, and pumps
+    # the path that closes in on the midpoint from below
+    pumped = []
+
+    def value(lanes, p):
+        pumped.append(p.tolist())
+        return np.where(p < 2.9e-5, 1.0, math.nan)
+
+    first, found, rates = threshold._crossings(
+        value, 1, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
+    )
+    lo, hi = 2e-5, 4e-5
+    path = [0.5 * (lo + hi)]
+    lo, hi = lo, path[0]
+    while len(path) < threshold.PATH_STEPS:
+        path.append(0.5 * (lo + hi))
+        lo = path[-1]
+    assert pumped[1] == path
+    assert found[0] and rates[0] == reference_crossing(lambda p: p < 2.9e-5)
+
+
+def test_a_contour_lane_leaves_the_scan_where_it_reads_its_level(monkeypatch):
+    # a read equal to the level does not lie below it, so the lane leaves
+    # the scan at that rate; one scan rate per pass
+    rates = []
+
+    def pumped(schedule, f, p, read):
+        rates.extend(p.tolist())
+        return np.where(p < 1e-5, 0.0, 1.0)
+
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 1)
+    monkeypatch.setattr(threshold, "pump_at", pumped)
+    [curve] = threshold.contours(SCHED_122, [1.0], [0.9], None)
+    assert rates[:2] == [0.0, 1e-5] and max(rates) == 1e-5
+    assert curve == [(0.9, reference_crossing(lambda p: p < 1e-5))]
+
+
+def test_pipeline_passes_fails_on_a_slack_of_zero(monkeypatch):
+    # a rate on its bound has slack 0 and fails: every bound is strict
+    for slack, verdict in ((0.0, False), (5e-324, True), (math.nan, False)):
+        monkeypatch.setattr(threshold, "_passes", lambda *args: np.array([slack]))
+        assert pipeline_passes(0.9, 1e-3, SCHED_122, "equal", ThresholdConditions()) is verdict
 
 
 def test_threshold_pg_refuses_a_verdict_that_turns_twice(monkeypatch):
