@@ -271,8 +271,8 @@ _POINT = {
     "--pg": dict(type=float, default=1e-3, help="two-qubit gate error probability"),
     "--pM": dict(type=_parse_pm, default="equal",
                  help="measurement error: 'equal', 'four_fifteenths' or a number"),
-    "--eta": dict(type=float, default=0.0, help="memory error rate per step"),
-    "--l-wait": dict(type=int, default=0, help="waiting steps for memory error"),
+    "--eta": dict(type=float, help="memory error rate per step"),
+    "--l-wait": dict(type=int, help="waiting steps for memory error"),
 }
 _OUT = {"--out": dict(default=None, help="output path (default stdout)")}
 _FBAR = {

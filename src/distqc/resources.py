@@ -76,11 +76,10 @@ def expected_cost(
     schedule: PumpSchedule,
     channel: ChannelParams,
     noise: NoiseParams,
-    model: CostModel | None = None,
+    model: CostModel = CostModel(),
 ) -> float:
     """Expected cost K of one delivered purified pair, teleported-gate
     operations included when local operations are counted."""
-    model = model or CostModel()
     result = pump(channel, schedule, noise)
     if result.p_net <= 0.0:
         raise SuccessProbabilityError("net success probability underflowed to 0")
@@ -96,7 +95,7 @@ def simulate_expected_cost(
     schedule: PumpSchedule,
     channel: ChannelParams,
     noise: NoiseParams,
-    model: CostModel | None = None,
+    model: CostModel = CostModel(),
     trials: int = 10**6,
     seed: int = 0,
 ) -> float:
@@ -113,7 +112,6 @@ def simulate_expected_cost(
     """
     if trials < 1:
         raise ValueError(f"the Monte Carlo cross-check needs at least 1 trial, got {trials}")
-    model = model or CostModel()
     result = pump(channel, schedule, noise)
     rounds = sum(m * s.rounds for m, s in zip(result.program.multiplicity, result.program.stages))
     if rounds > MC_BLOCK_DRAWS:
@@ -145,14 +143,13 @@ def contour_expected_cost(
     schedule: PumpSchedule,
     levels,
     F_grid,
-    model: CostModel | None = None,
+    model: CostModel = CostModel(),
 ) -> list[list[tuple[float, float]]]:
     """Loci of fixed expected cost in the (F, p_g = p_M) plane.
 
     K grows with the local error rate, so each grid point is bisected in p;
     points where the level is not crossed in (0, P_MAX] are omitted.
     """
-    model = model or CostModel()
     levels = list(levels)
     for level in levels:
         if not (level > 0 and math.isfinite(level)):

@@ -14,10 +14,10 @@ loci of a fixed pumped value, such as the infidelity.
 
 A landscape is evaluated as one search over lane arrays: every grid
 fidelity (of a contour: every level and fidelity) is a lane holding its own
-bracket, and each step pumps the local error rates of all live lanes
-(:func:`pump_at`), LANE_BLOCK lanes per batch and one map build per distinct
-rate in a batch.  Both sweeps ask where a lane's verdict turns from pass to
-fail, the sign of a value: the smallest relative slack of the
+bracket, and each step pumps every distinct (rate, fidelity) pair of the live
+lanes once (:func:`pump_at`), LANE_BLOCK pairs per batch and one map build
+per distinct rate in a batch.  Both sweeps ask where a lane's verdict turns
+from pass to fail, the sign of a value: the smallest relative slack of the
 fault-tolerance bounds (:func:`ft_slack`), or a contour's level less its
 read.  :func:`_crossings` answers both: it scans a fixed rate grid, then
 bisects every bracket together.  Each bisection pass predicts each lane's
@@ -177,15 +177,10 @@ def ft_slack(q: QTuple, cond: ThresholdConditions):
     return functools.reduce(np.minimum, [(bound - rate) / bound for rate, bound in bounds])
 
 
-def fault_tolerant(q: QTuple, cond: ThresholdConditions):
-    """Whether the error rates lie strictly below their (margined) bounds,
-    lane by lane when the rates are lane arrays: :func:`ft_slack` > 0."""
-    return ft_slack(q, cond) > 0
-
-
 def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
-    """:func:`fault_tolerant` at one point, as a plain bool."""
-    return bool(fault_tolerant(q, cond))
+    """Whether the error rates of one point lie strictly below their
+    (margined) bounds: :func:`ft_slack` > 0, as a plain bool."""
+    return bool(ft_slack(q, cond) > 0)
 
 
 def p_M_of(p_M_rule, p_g: float) -> float:
@@ -209,21 +204,26 @@ def p_M_of(p_M_rule, p_g: float) -> float:
 LANE_BLOCK = 1024
 
 
-def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, p_g, read, p_M_rule="equal") -> np.ndarray:
-    """Pump lane b from ``f_ini[b]`` at the gate error ``p_g[b]`` (p_M by its
-    rule), LANE_BLOCK lanes at a time, and return ``read(lanes, p)`` of each
-    block's :class:`Lanes` and gate errors ``p``: one value per lane.  Lanes
-    of a block that share a gate error share one map build."""
+def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="equal") -> np.ndarray:
+    """Pump lane b from the fidelity row ``f_ini[k[b]]`` at the gate error
+    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p)`` of the pumped
+    :class:`Lanes` and their gate errors ``p``: one value per lane.  Each
+    distinct (rate, row) pair is pumped once, the pairs rate-major and
+    LANE_BLOCK at a time, with one map build per distinct rate of a block."""
+    # a (rate, row) pair as a complex number: complex numbers sort by real
+    # part, then imaginary, so the distinct pairs come rate-major
+    pair, same = np.unique(p_g + 1j * k, return_inverse=True)
+    rows, p = pair.imag.astype(int), pair.real
     reads = []
-    for b in range(0, len(p_g), LANE_BLOCK):
-        p = p_g[b:b + LANE_BLOCK]
-        points, index = np.unique(p, return_inverse=True)
+    for b in range(0, len(p), LANE_BLOCK):
+        block = p[b:b + LANE_BLOCK]
+        points, index = np.unique(block, return_inverse=True)
         noises = [depolarizing_noise(x, p_M_of(p_M_rule, x)) for x in points]
-        reads.append(read(pump_lanes(schedule, f_ini[b:b + LANE_BLOCK], noises, index), p))
-    return np.concatenate(reads)
+        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noises, index), block))
+    return np.concatenate(reads)[same]
 
 
-def _passes(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule, cond: ThresholdConditions):
+def _passes(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, p_M_rule, cond: ThresholdConditions):
     """Pipeline :func:`ft_slack` of every lane (see :func:`pump_at`), whose
     sign is its verdict: pump, evaluate the error-class rates and check the
     conditions.  A lane whose pumping underflows has a NaN f_out and slack,
@@ -232,14 +232,15 @@ def _passes(schedule: PumpSchedule, f_ini: np.ndarray, p_g, p_M_rule, cond: Thre
     def slack(lanes: Lanes, p):
         return ft_slack(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
 
-    return pump_at(schedule, f_ini, p_g, slack, p_M_rule)
+    return pump_at(schedule, f_ini, k, p_g, slack, p_M_rule)
 
 
 def pipeline_passes(
     F: float, p_g: float, schedule: PumpSchedule, p_M_rule, cond: ThresholdConditions
 ) -> bool:
     """Pump, evaluate the error-class rates and check the conditions."""
-    return bool(_passes(schedule, ChannelParams(F).f_ini[None], np.array([p_g]), p_M_rule, cond)[0] > 0)
+    f_ini = ChannelParams(F).f_ini[None]
+    return bool(_passes(schedule, f_ini, np.array([0]), np.array([p_g]), p_M_rule, cond)[0] > 0)
 
 
 #: upper end of every search over the local error rate: the last rate of
@@ -279,7 +280,7 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     values = np.full((n, grid.size), math.nan)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
-        rates = grid[j:j + step]  # lanes rate by rate, so a pump_at block builds few rates' maps
+        rates = grid[j:j + step]  # every live lane at each rate, rate by rate
         values[live, j:j + step] = v = value(
             np.tile(live, rates.size), np.repeat(rates, live.size)).reshape(rates.size, -1).T
         live = live[(v > 0).all(axis=1)] if first_fail else live
@@ -332,7 +333,7 @@ def threshold_pg(
     F: float,
     schedule: PumpSchedule,
     p_M_rule="equal",
-    cond: ThresholdConditions | None = None,
+    cond: ThresholdConditions = ThresholdConditions(),
     rel_tol: float = REL_TOL,
 ) -> float:
     """:func:`threshold_curve` at the one channel fidelity F.
@@ -354,7 +355,7 @@ def threshold_curve(
     schedule: PumpSchedule,
     F_grid,
     p_M_rule="equal",
-    cond: ThresholdConditions | None = None,
+    cond: ThresholdConditions = ThresholdConditions(),
     rel_tol: float = REL_TOL,
 ) -> list[tuple[float, float]]:
     """Largest local gate error the full pipeline tolerates at each channel
@@ -368,7 +369,6 @@ def threshold_curve(
     bad p_M rule, which no point can pass, raises ValueError.
     """
     p_M_of(p_M_rule, 0.0)
-    cond = cond or ThresholdConditions()
     F_grid = [float(F) for F in F_grid]
     lanes, f_ini = [], []
     for i, F in enumerate(F_grid):
@@ -379,7 +379,7 @@ def threshold_curve(
         lanes.append(i)
     f_ini = np.array(f_ini).reshape(-1, 4)
     first, bracketed, th = _crossings(
-        lambda k, p: _passes(schedule, f_ini[k], p, p_M_rule, cond),
+        lambda k, p: _passes(schedule, f_ini, k, p, p_M_rule, cond),
         len(f_ini), np.geomspace(1e-6, P_MAX, 24),
         lambda lo, hi: np.sqrt(lo * hi), lambda lo, hi: hi - lo > rel_tol * lo, first_fail=False,
     )
@@ -417,15 +417,9 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
     def guarded(lanes: Lanes, _):
         return read(lanes)
 
-    def below(k, p):
-        """Pump each distinct (rate, fidelity) of lanes k once: the level of
-        every lane less its read, positive where the read lies below it."""
-        rate, r = np.unique(p, return_inverse=True)
-        key, same = np.unique(r * n + k % n, return_inverse=True)  # rate-major, as the lanes come
-        return goal[k] - pump_at(schedule, f_ini[key % n], rate[key // n], guarded)[same]
-
     _, found, rates = _crossings(
-        below, goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
+        lambda k, p: goal[k] - pump_at(schedule, f_ini, k % n, p, guarded),
+        goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
         lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
     )
     return [[(float(F), p) for F, p, ok in zip(F_grid, row, oks) if ok]

@@ -189,7 +189,7 @@ def test_a_zero_memory_rate_given_reads_the_wait(capsys):
     ("resource", "--schedule", "1,2,2"),
 ], ids=lambda argv: argv[0])
 def test_memory_rate_without_a_wait_is_refused(capsys, argv):
-    # --l-wait defaults to 0 steps, so --eta alone would fold no memory error
+    # --eta alone names no waiting steps, so it would fold no memory error
     # and be ignored; it is refused, as --l-wait without --eta is
     code = main([*argv, "--eta", "1e-4"])
     assert (code, *capsys.readouterr()) == (

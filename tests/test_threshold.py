@@ -22,7 +22,6 @@ from distqc.threshold import (
     ThresholdConditions,
     check_ft,
     contour_infidelity,
-    fault_tolerant,
     ft_slack,
     p_M_of,
     pipeline_passes,
@@ -165,7 +164,7 @@ def test_slack_is_the_smallest_relative_slack(margin, rate, bound):
     assert math.isnan(ft_slack(QTuple(**{**zero, rate: math.nan}), cond))
     assert check_ft(QTuple(**{**zero, rate: 0.5 * bound}), cond) is True
     lanes = QTuple(**{**zero, rate: np.array([0.5, 1.0, math.nan]) * bound})
-    assert fault_tolerant(lanes, cond).tolist() == [True, False, False]
+    assert (ft_slack(lanes, cond) > 0).tolist() == [True, False, False]
 
 
 def test_check_ft_monotone():
@@ -431,8 +430,8 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
-    # the scan lanes are laid out rate by rate, so each block of LANE_BLOCK
-    # lanes builds the maps of one or two scan rates, not of every rate
+    # pump_at orders a pass's pairs rate by rate, so each block of LANE_BLOCK
+    # pairs builds the maps of one or two scan rates, not of every rate
     grid = np.linspace(0.7, 1.0, 10)
     curve = threshold_curve(SCHED_3414, grid)
     scan = np.geomspace(1e-6, threshold.P_MAX, 24)
@@ -447,6 +446,40 @@ def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
     monkeypatch.setattr(purify, "_build_maps", recorded)
     assert threshold_curve(SCHED_3414, grid) == curve
     assert sum(built) == 24
+
+
+def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
+    # lanes that repeat and permute (row, rate) pairs: each distinct pair is
+    # pumped once, rate-major, in blocks of LANE_BLOCK pairs with one noise
+    # per distinct rate of a block, and every lane reads its own pair
+    f_ini = np.array([ChannelParams(F).f_ini for F in (0.8, 0.9, 0.95)])
+    k = np.array([2, 0, 2, 1, 0, 2, 1])
+    p = np.array([2e-3, 1e-3, 2e-3, 1e-3, 3e-3, 1e-3, 1e-3])
+
+    def read(lanes, rates):
+        return lanes.f_out[:, 1] / rates
+
+    made, blocks = [], []  # holding every noise made keeps the ids apart
+    noise, pump_lanes = threshold.depolarizing_noise, threshold.pump_lanes
+
+    def recorded_noise(p_g, p_M):
+        made.append((noise(p_g, p_M), p_g))
+        return made[-1][0]
+
+    def recorded(schedule, f, noises, index):
+        rate_of = {id(x): p_g for x, p_g in made}
+        rows = [int(np.flatnonzero((f_ini == row).all(axis=1))[0]) for row in f]
+        blocks.append(([(rate_of[id(noises[i])], row) for i, row in zip(index, rows)], len(noises)))
+        return pump_lanes(schedule, f, noises, index)
+
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 3)
+    alone = [threshold.pump_at(SCHED_122, f_ini, k[[b]], p[[b]], read)[0] for b in range(len(k))]
+    monkeypatch.setattr(threshold, "depolarizing_noise", recorded_noise)
+    monkeypatch.setattr(threshold, "pump_lanes", recorded)
+    values = threshold.pump_at(SCHED_122, f_ini, k, p, read)
+    assert blocks == [([(1e-3, 0), (1e-3, 1), (1e-3, 2)], 1), ([(2e-3, 2), (3e-3, 0)], 2)]
+    assert len(made) == 3
+    assert values.tobytes() == np.array(alone).tobytes()
 
 
 # pump_lanes calls, lanes and noise points of a few sweeps.  The predicted
@@ -559,13 +592,11 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
     n = len(values)
     F_grid = [0.5 + i / 64 for i in range(n)]
 
-    def passes(schedule, f, p, p_M_rule, cond):
-        lanes = np.searchsorted(F_grid, f[:, 0])
-        return np.array([value_at(values[i], x) < 1.0 for i, x in zip(lanes, p)], dtype=bool)
+    def passes(schedule, f_ini, k, p, p_M_rule, cond):
+        return np.array([value_at(values[i], x) < 1.0 for i, x in zip(k, p)], dtype=bool)
 
-    def pumped(schedule, f, p, read):
-        lanes = np.searchsorted(F_grid, f[:, 0])
-        return np.array([value_at(values[i], x) for i, x in zip(lanes, p)])
+    def pumped(schedule, f_ini, k, p, read):
+        return np.array([value_at(values[i], x) for i, x in zip(k, p)])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threshold, "LANE_BLOCK", block)
@@ -611,13 +642,13 @@ def test_crossing_searches_on_smooth_values_equal_per_lane_references(block, val
     # bisection of that lane ends.  A contour reads -value against level 0
     F_grid = [0.5 + i / 64 for i in range(len(values))]
 
-    def at(f, p, sign):
-        return np.array([sign * values[i](x) for i, x in zip(np.searchsorted(F_grid, f[:, 0]), p)])
+    def at(k, p, sign):
+        return np.array([sign * values[i](x) for i, x in zip(k, p)])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threshold, "LANE_BLOCK", block)
-        mp.setattr(threshold, "_passes", lambda schedule, f, p, p_M_rule, cond: at(f, p, 1.0))
-        mp.setattr(threshold, "pump_at", lambda schedule, f, p, read: at(f, p, -1.0))
+        mp.setattr(threshold, "_passes", lambda schedule, f_ini, k, p, p_M_rule, cond: at(k, p, 1.0))
+        mp.setattr(threshold, "pump_at", lambda schedule, f_ini, k, p, read: at(k, p, -1.0))
         curve = threshold_curve(SCHED_122, F_grid)
         [contour] = threshold.contours(SCHED_122, [0.0], F_grid, None)
     for (_, th), v in zip(curve, values):
@@ -676,7 +707,7 @@ def test_a_contour_lane_leaves_the_scan_where_it_reads_its_level(monkeypatch):
     # the scan at that rate; one scan rate per pass
     rates = []
 
-    def pumped(schedule, f, p, read):
+    def pumped(schedule, f_ini, k, p, read):
         rates.extend(p.tolist())
         return np.where(p < 1e-5, 0.0, 1.0)
 
@@ -697,6 +728,6 @@ def test_pipeline_passes_fails_on_a_slack_of_zero(monkeypatch):
 def test_threshold_pg_refuses_a_verdict_that_turns_twice(monkeypatch):
     # a verdict that passes again above its first fail has no single
     # crossing to bisect
-    monkeypatch.setattr(threshold, "_passes", lambda schedule, f, p, rule, cond: (p < 1e-4) | (p > 1e-2))
+    monkeypatch.setattr(threshold, "_passes", lambda schedule, f_ini, k, p, rule, cond: (p < 1e-4) | (p > 1e-2))
     with pytest.raises(NonMonotoneIndicatorError, match="does not cross exactly once"):
         threshold_pg(0.9, SCHED_122)
