@@ -18,12 +18,12 @@ from distqc import (
     depolarizing_noise,
     gate_error_table,
     gate_error_table_from_circuit,
-    pump_double,
+    pump,
 )
 
 p_g = p_M = 1e-3
 noise = depolarizing_noise(p_g, p_M)
-f_bar = pump_double(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), noise).f_out
+f_bar = pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), noise).f_out
 print("purified pair vector:", np.array2string(f_bar, precision=6))
 
 labels = "IXYZ"

@@ -16,8 +16,7 @@ from distqc import (
     PumpSchedule,
     depolarizing_noise,
     double_selection,
-    pump_double,
-    pump_single,
+    pump,
     single_selection,
 )
 
@@ -36,7 +35,7 @@ print(f"one double-selection round:  infidelity {1 - f_double[0]:.4f}  success {
 # Full two-level pumping.  The double protocol spends 79 base pairs per
 # attempt here; the single schedules below spend a comparable amount.
 schedule = PumpSchedule.double(3, 4, 14)
-result = pump_double(channel, schedule, noise)
+result = pump(channel, schedule, noise)
 print(f"\ndouble pumping {schedule.counts}:")
 print("  purified vector:", np.array2string(result.f_out, precision=6))
 print(f"  infidelity:      {1 - result.f_out[0]:.2e}")
@@ -44,7 +43,7 @@ print("  success probs:  ", {k: round(v, 4) for k, v in result.success_probs.ite
 print("  base pairs per attempt:", result.program.tally.base_pairs)
 
 for counts in ((5, 12), (7, 9), (5, 13)):
-    single = pump_single(channel, PumpSchedule.single(*counts), noise)
+    single = pump(channel, PumpSchedule.single(*counts), noise)
     print(
         f"single pumping {counts}: infidelity {1 - single.f_out[0]:.2e} "
         f"with {single.program.tally.base_pairs} base pairs per attempt"

@@ -37,10 +37,10 @@ print("  F=0.9, p=1e-3, (1,2,2), one-third margin:   ",
       pipeline_passes(0.9, 1e-3, schedule, "equal", ThresholdConditions(margin=1 / 3)))
 
 # the error-class rates at the margined operating point
-from distqc import ChannelParams, depolarizing_noise, pump_double
+from distqc import ChannelParams, depolarizing_noise, pump
 
 noise = depolarizing_noise(1e-3, 1e-3)
-f_bar = pump_double(ChannelParams(0.9), schedule, noise).f_out
+f_bar = pump(ChannelParams(0.9), schedule, noise).f_out
 q = q_values(f_bar, 1e-3, 1e-3)
 print(f"\nrates at (F=0.9, p=1e-3): qa={q.qa:.5f} qb={q.qb:.5f} qc={q.qc:.5f} "
       f"q_cor={q.q_correlated:.5f}")

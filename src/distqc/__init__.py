@@ -22,8 +22,6 @@ from .purify import (
     double_selection,
     double_selection_tensor,
     pump,
-    pump_double,
-    pump_single,
     single_selection,
     single_selection_tensor,
 )
@@ -80,8 +78,6 @@ __all__ = [
     "hadamard_propagate",
     "label_mul",
     "pump",
-    "pump_double",
-    "pump_single",
     "q_values",
     "q_values_generic",
     "shor_gate_count",

@@ -109,32 +109,49 @@ class NoiseParams:
     p_table[i][j] is the probability that a two-qubit gate is followed by the
     error sigma_i (x) sigma_j on its two qubits; p_table[0][0] = 1 - p_g.
     p_M is the per-qubit measurement flip probability.  Memory error enters
-    through the gate error rate (see :func:`effective_pg`).
+    through the gate error rate (see :func:`effective_pg`).  A batch of
+    noise points holds a p_M array and a ``p_table[..., 4, 4]`` of the same
+    batch shape; every check applies to each point.
     """
 
     p_table: np.ndarray
-    p_M: float
+    p_M: float | np.ndarray
 
     def __post_init__(self):
         table = np.asarray(self.p_table, dtype=float)
-        if table.shape != (4, 4):
-            raise ValueError(f"p_table must be 4x4, got shape {table.shape}")
+        p_M, batch = self.p_M, ()
+        if not np.isscalar(p_M):
+            p_M = np.asarray(p_M, dtype=float)
+            batch = p_M.shape
+            object.__setattr__(self, "p_M", p_M)
+        if table.shape != batch + (4, 4):
+            per_point = f" for p_M of shape {batch}" if batch else ""
+            raise ValueError(f"p_table must be 4x4, got shape {table.shape}{per_point}")
         if not table.min() >= -ATOL:
             raise ValueError("p_table entries must be non-negative")
-        if not abs(table.sum() - 1.0) <= ATOL:
-            raise ValueError(f"p_table must sum to 1, got {table.sum()!r}")
+        sums = np.add.reduce(table, axis=(-2, -1))
+        _refuse(abs(sums - 1.0) <= ATOL, sums, "p_table must sum to 1, got {!r}")
         object.__setattr__(self, "p_table", table)
-        if not 0.0 <= self.p_M < 1.0:
-            raise ValueError(f"p_M must lie in [0, 1), got {self.p_M}")
+        _refuse((0.0 <= p_M) & (p_M < 1.0), p_M, "p_M must lie in [0, 1), got {}")
 
 
-def depolarizing_noise(p_g: float, p_M: float) -> NoiseParams:
+def _refuse(ok, values, message: str) -> None:
+    """Raise ValueError with ``message`` naming the first value where ``ok`` fails."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        raise ValueError(message.format(np.asarray(values)[~np.asarray(ok)].flat[0]))
+
+
+def depolarizing_noise(p_g, p_M) -> NoiseParams:
     """Build NoiseParams with the 15 non-identity gate errors sharing p_g
-    uniformly (each entry p_g/15)."""
-    if not 0.0 <= p_g < 1.0:
-        raise ValueError(f"p_g must lie in [0, 1), got {p_g}")
-    table = np.full((4, 4), p_g / 15.0)
-    table[0, 0] = 1.0 - p_g
+    uniformly (each entry p_g/15).  p_g and p_M are numbers or arrays of one
+    shape, each point's table bitwise that of its scalar call."""
+    if np.isscalar(p_g):
+        table = np.full((4, 4), p_g / 15.0)
+    else:
+        p_g = np.asarray(p_g, dtype=float)
+        table = np.full(p_g.shape + (4, 4), (p_g / 15.0)[..., None, None])
+    _refuse((0.0 <= p_g) & (p_g < 1.0), p_g, "p_g must lie in [0, 1), got {}")
+    table[..., 0, 0] = 1.0 - p_g
     return NoiseParams(p_table=table, p_M=p_M)
 
 

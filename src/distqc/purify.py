@@ -470,37 +470,23 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
     )
 
 
-def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noises, index) -> Lanes:
+def pump_lanes(schedule: PumpSchedule, f_ini: np.ndarray, noise: NoiseParams, index) -> Lanes:
     """Pump every lane in one interpreter pass: lane b starts from the
-    channel vector ``f_ini[b]`` under the noise ``noises[index[b]]``.
-
-    The round tensors are built once per entry of ``noises`` (D only if a
-    stage runs it) and gathered to the lanes.
-    """
+    channel vector ``f_ini[b]`` under point ``index[b]`` of the flattened
+    noise batch ``noise``; the round tensors are built once per point (D
+    only if a stage runs it) and gathered to the lanes."""
     program = stage_program(schedule)
-    maps = _build_maps(np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]),
+    maps = _build_maps(noise.p_table.reshape(-1, 4, 4), np.asarray(noise.p_M).reshape(-1),
                        any(stage.tensor == "D" for stage in program.stages))
     return _interpret(program, f_ini, maps, index)
 
 
 def pump(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
     """Two-level entanglement pumping: interpret the schedule's stage
-    program (see the module docstring) on one lane."""
-    return pump_lanes(schedule, channel.f_ini[None], [noise], [0]).result(0)
-
-
-def pump_single(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
-    """:func:`pump` restricted to single-selection schedules."""
-    if schedule.scheme != "single":
-        raise ValueError("pump_single requires a single-selection schedule")
-    return pump(channel, schedule, noise)
-
-
-def pump_double(channel: ChannelParams, schedule: PumpSchedule, noise: NoiseParams) -> PumpResult:
-    """:func:`pump` restricted to double-selection schedules."""
-    if schedule.scheme != "double":
-        raise ValueError("pump_double requires a double-selection schedule")
-    return pump(channel, schedule, noise)
+    program (see the module docstring) on one lane at one noise point."""
+    if isinstance(noise.p_M, np.ndarray) and noise.p_M.ndim:
+        raise ValueError(f"pump takes one noise point, not a batch of shape {noise.p_M.shape}")
+    return pump_lanes(schedule, channel.f_ini[None], noise, [0]).result(0)
 
 
 # ---------------------------------------------------------------------------

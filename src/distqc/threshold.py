@@ -183,9 +183,9 @@ def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
     return bool(ft_slack(q, cond) > 0)
 
 
-def p_M_of(p_M_rule, p_g: float) -> float:
+def p_M_of(p_M_rule, p_g):
     """Measurement error under a p_M rule: "equal" (p_M = p_g),
-    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number in [0, 1)."""
+    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number in [0, 1), per rate."""
     if p_M_rule == "equal":
         return p_g
     if p_M_rule == "four_fifteenths":
@@ -197,7 +197,7 @@ def p_M_of(p_M_rule, p_g: float) -> float:
     p_M = float(p_M_rule)
     if not 0.0 <= p_M < 1.0:
         raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
-    return p_M
+    return np.full(p_g.shape, p_M) if isinstance(p_g, np.ndarray) else p_M
 
 
 #: most lanes pumped in one pass; larger batches are pumped block by block
@@ -209,7 +209,7 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="e
     ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p)`` of the pumped
     :class:`Lanes` and their gate errors ``p``: one value per lane.  Each
     distinct (rate, row) pair is pumped once, the pairs rate-major and
-    LANE_BLOCK at a time, with one map build per distinct rate of a block."""
+    LANE_BLOCK at a time: one noise batch and map build per block."""
     # a (rate, row) pair as a complex number: complex numbers sort by real
     # part, then imaginary, so the distinct pairs come rate-major
     pair, same = np.unique(p_g + 1j * k, return_inverse=True)
@@ -218,8 +218,8 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="e
     for b in range(0, len(p), LANE_BLOCK):
         block = p[b:b + LANE_BLOCK]
         points, index = np.unique(block, return_inverse=True)
-        noises = [depolarizing_noise(x, p_M_of(p_M_rule, x)) for x in points]
-        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noises, index), block))
+        noise = depolarizing_noise(points, p_M_of(p_M_rule, points))
+        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), block))
     return np.concatenate(reads)[same]
 
 

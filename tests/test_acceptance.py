@@ -11,7 +11,7 @@ from distqc.purify import (
     double_selection_tensor,
     enumerate_double_map,
     enumerate_single_map,
-    pump_double,
+    pump,
     single_selection,
     single_selection_tensor,
     double_selection,
@@ -39,7 +39,7 @@ def report(criterion: str, ok: bool) -> None:
 def test_criterion_1_leading_order_purified_fidelity():
     p = 1e-4
     noise = depolarizing_noise(p, p)
-    result = pump_double(ChannelParams(1.0), SCHED_122, noise)
+    result = pump(ChannelParams(1.0), SCHED_122, noise)
     expected = np.array([4.0, 2.0, 2.0]) * p / 15.0
     rel = np.abs(result.f_out[1:] - expected) / expected
     report(
@@ -145,7 +145,7 @@ def test_criterion_8_invariant_suite():
     # noiseless fixed point
     perfect = np.array([1.0, 0.0, 0.0, 0.0])
     clean = depolarizing_noise(0.0, 0.0)
-    res = pump_double(ChannelParams(1.0), SCHED_3414, clean)
+    res = pump(ChannelParams(1.0), SCHED_3414, clean)
     ok = ok and np.array_equal(res.f_out, perfect)
     ok = ok and all(v == 1.0 for v in res.success_probs.values())
 
@@ -157,7 +157,7 @@ def test_criterion_8_invariant_suite():
     ok = ok and np.allclose(lhs, rhs, atol=1e-14)
 
     # monotone pumping spot check
-    res = pump_double(ChannelParams(0.9), SCHED_122, noise)
+    res = pump(ChannelParams(0.9), SCHED_122, noise)
     ok = ok and (1.0 - res.f_out[0] < 0.1)
 
     # threshold points bracket their crossings

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distqc.pauli import (
     ChannelParams,
@@ -82,10 +83,78 @@ def test_depolarizing_noise_normalized(p_g):
     assert abs(noise.p_table.sum() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("p_g,p_M", [(1.0, 0.0), (-0.1, 0.0), (0.0, 1.0), (0.0, -0.2)])
-def test_depolarizing_noise_rejects_bad_inputs(p_g, p_M):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("p_g,p_M,got", [
+    (1.0, 0.0, "p_g must lie in [0, 1), got 1.0"),
+    (-0.1, 0.0, "p_g must lie in [0, 1), got -0.1"),
+    (0.0, 1.0, "p_M must lie in [0, 1), got 1.0"),
+    (0.0, -0.2, "p_M must lie in [0, 1), got -0.2"),
+    (float("nan"), 0.0, "p_g must lie in [0, 1), got nan"),
+    (1, 0.0, "p_g must lie in [0, 1), got 1"),
+], ids=["1.0-0.0", "-0.1-0.0", "0.0-1.0", "0.0--0.2", "nan-0.0", "1-0.0"])
+def test_depolarizing_noise_rejects_bad_inputs(p_g, p_M, got):
+    # a scalar refusal names its value as the number was given
+    with pytest.raises(ValueError) as error:
         depolarizing_noise(p_g, p_M)
+    assert str(error.value) == got
+
+
+RATES = st.floats(0.0, 1.0, exclude_max=True)
+#: one refused value of each kind: NaN, below the range and its open end
+BAD = st.sampled_from([float("nan"), -0.1, -1e-300, 1.0, 2.0])
+
+
+@settings(deadline=None, max_examples=60)
+@given(points=st.lists(st.tuples(RATES, RATES), min_size=1, max_size=12), rows=st.sampled_from([1, 2, 3]))
+def test_a_batched_point_is_bitwise_its_scalar_call(points, rows):
+    # one call on (rows, n) rate arrays: each point's table and p_M are the
+    # scalar call's bits, the p_M array has the batch shape
+    points = points * rows
+    p_g, p_M = (np.array(x).reshape(rows, -1) for x in zip(*points))
+    noise = depolarizing_noise(p_g, p_M)
+    assert noise.p_table.shape == p_g.shape + (4, 4) and noise.p_M.shape == p_g.shape
+    assert noise.p_M.dtype == float
+    for at in np.ndindex(p_g.shape):
+        alone = depolarizing_noise(float(p_g[at]), float(p_M[at]))
+        assert noise.p_table[at].tobytes() == alone.p_table.tobytes()
+        assert noise.p_M[at] == alone.p_M and type(alone.p_M) is float
+
+
+@settings(deadline=None, max_examples=60)
+@given(rates=st.lists(RATES, min_size=1, max_size=8), data=st.data(), bad=BAD, rate=st.booleans())
+def test_a_batch_refusal_names_its_first_bad_value(rates, data, bad, rate):
+    at = data.draw(st.integers(0, len(rates) - 1))
+    p_g, p_M = np.array(rates), np.array(rates[::-1])
+    # the drawn bad value, then a bad 5.0 at every later point
+    (p_g if rate else p_M)[at:] = np.where(np.arange(len(rates) - at) > 0, 5.0, bad)
+    name = "p_g" if rate else "p_M"
+    with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\), got {bad}$"):
+        depolarizing_noise(p_g, p_M)
+
+
+def test_a_batch_takes_the_ends_of_its_ranges():
+    # 0 and the largest float below 1 pass, point by point, and 1 fails
+    below = np.nextafter(1.0, 0.0)
+    noise = depolarizing_noise(np.array([0.0, below]), np.array([below, 0.0]))
+    assert noise.p_table[:, 0, 0].tolist() == [1.0, 1.0 - below] and noise.p_M.tolist() == [below, 0.0]
+    with pytest.raises(ValueError, match=r"got 1.0$"):
+        depolarizing_noise(np.array([0.0, 1.0]), np.zeros(2))
+    with pytest.raises(ValueError, match=r"got 1.0$"):
+        depolarizing_noise(np.zeros(2), np.array([0.0, 1.0]))
+    # each point's table sums to 1 within ATOL, and the refusal names the
+    # first point's sum that does not
+    tables = np.zeros((3, 4, 4))
+    tables[:, 0, 0] = [1.0, 1 + 0.5e-12, 1 - 0.5e-12]
+    NoiseParams(tables, np.zeros(3))
+    tables[1:, 0, 0] = [1 + 2e-12, 0.5]
+    with pytest.raises(ValueError) as error:
+        NoiseParams(tables, np.zeros(3))
+    assert str(error.value) == f"p_table must sum to 1, got {np.float64(1 + 2e-12)!r}"
+    with pytest.raises(ValueError, match=r"^p_table must be 4x4, got shape \(3, 4, 4\) for p_M of shape \(2,\)$"):
+        NoiseParams(tables, np.zeros(2))
+    tables[1:] = tables[0]
+    tables[2, 1, 1] = -2e-12
+    with pytest.raises(ValueError, match="non-negative"):
+        NoiseParams(tables, np.zeros(3))
 
 
 def test_effective_pg():
@@ -108,10 +177,17 @@ def test_effective_pg():
 def test_noise_params_validation():
     table = np.full((4, 4), 1 / 16)
     NoiseParams(p_table=table, p_M=0.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as error:
         NoiseParams(p_table=table * 2, p_M=0.1)
+    assert str(error.value) == f"p_table must sum to 1, got {np.float64(2.0)!r}"
+    with pytest.raises(ValueError) as error:
+        NoiseParams(p_table=table, p_M=1)
+    assert str(error.value) == "p_M must lie in [0, 1), got 1"
     with pytest.raises(ValueError):
         NoiseParams(p_table=table, p_M=1.0)
+    with pytest.raises(ValueError) as error:
+        NoiseParams(p_table=np.eye(3) / 3, p_M=0.0)
+    assert str(error.value) == "p_table must be 4x4, got shape (3, 3)"
     with pytest.raises(ValueError):
         NoiseParams(p_table=np.eye(4), p_M=0.0)  # does not sum to 1
     nan_table = table.copy()

@@ -18,9 +18,7 @@ from distqc.purify import (
     enumerate_double_map,
     enumerate_single_map,
     pump,
-    pump_double,
     pump_lanes,
-    pump_single,
     sample_double_selection,
     sample_single_selection,
     single_selection,
@@ -228,26 +226,25 @@ def test_outputs_normalized_on_random_inputs():
     [PumpSchedule.single(3, 4), PumpSchedule.double(1, 2, 2), PumpSchedule.double(3, 4, 14)],
 )
 def test_pump_noiseless_perfect_channel_fixed_point(schedule):
-    run = pump_double if schedule.scheme == "double" else pump_single
-    result = run(ChannelParams(1.0), schedule, NOISELESS)
+    result = pump(ChannelParams(1.0), schedule, NOISELESS)
     np.testing.assert_array_equal(result.f_out, PERFECT)
     assert all(p == 1.0 for p in result.success_probs.values())
 
 
 def test_pump_single_empty_schedule_returns_channel():
-    result = pump_single(ChannelParams(0.9), PumpSchedule.single(0, 0), MILD)
+    result = pump(ChannelParams(0.9), PumpSchedule.single(0, 0), MILD)
     np.testing.assert_allclose(result.f_out, ChannelParams(0.9).f_ini)
     assert result.success_probs == {"p_lv1": 1.0, "p_lv2": 1.0}
 
 
 def test_pump_double_empty_schedule_returns_channel():
-    result = pump_double(ChannelParams(0.8), PumpSchedule.double(0, 0, 0), NOISELESS)
+    result = pump(ChannelParams(0.8), PumpSchedule.double(0, 0, 0), NOISELESS)
     np.testing.assert_allclose(result.f_out, ChannelParams(0.8).f_ini)
     assert result.program.tally.base_pairs == 1
 
 
 def test_pump_double_improves_raw_infidelity():
-    result = pump_double(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), MILD)
+    result = pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), MILD)
     assert 1.0 - result.f_out[0] < 0.1
 
 
@@ -255,10 +252,10 @@ def test_pump_double_beats_single_at_comparable_budget():
     # same channel and noise; double selection with 79 base pairs per attempt
     # against single-pumping schedules spending 78..84 pairs
     channel = ChannelParams(0.8)
-    d = pump_double(channel, PumpSchedule.double(3, 4, 14), MILD)
+    d = pump(channel, PumpSchedule.double(3, 4, 14), MILD)
     assert d.program.tally.base_pairs == 79
     for counts in ((5, 12), (7, 9), (5, 13)):
-        s = pump_single(channel, PumpSchedule.single(*counts), MILD)
+        s = pump(channel, PumpSchedule.single(*counts), MILD)
         assert 70 <= s.program.tally.base_pairs <= 90
         assert 1.0 - d.f_out[0] < 1.0 - s.f_out[0]
 
@@ -271,14 +268,14 @@ def test_pump_single_infidelity_contour_self_consistency():
     schedule = PumpSchedule.single(3, 4)
     [[(_, p_star)]] = contour_infidelity([schedule], 1e-3, [0.9])
     noise = depolarizing_noise(p_star, p_star)
-    result = pump_single(ChannelParams(0.9), schedule, noise)
+    result = pump(ChannelParams(0.9), schedule, noise)
     assert 1.0 - result.f_out[0] == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_round_success_chain_matches_net_probability():
     schedule = PumpSchedule.double(1, 2, 2)
     chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
-    probs = pump_double(ChannelParams(0.9), schedule, MILD).success_probs
+    probs = pump(ChannelParams(0.9), schedule, MILD).success_probs
     net = probs["r_lv1"] * probs["p_lv1"] ** 2 * probs["r_lv2"]
     assert np.prod(chain) == pytest.approx(net, rel=1e-12)
     assert len(chain) == 2 + 2 * (1 + 1)
@@ -287,7 +284,7 @@ def test_round_success_chain_matches_net_probability():
 def test_round_success_chain_single_scheme():
     schedule = PumpSchedule.single(2, 3)
     chain = pump(ChannelParams(0.9), schedule, MILD).round_chain()
-    probs = pump_single(ChannelParams(0.9), schedule, MILD).success_probs
+    probs = pump(ChannelParams(0.9), schedule, MILD).success_probs
     net = probs["p_lv1"] ** 4 * probs["p_lv2"]
     assert np.prod(chain) == pytest.approx(net, rel=1e-12)
 
@@ -299,8 +296,7 @@ def test_round_success_chain_single_scheme():
      PumpSchedule.double(1, 2, 2), PumpSchedule.double(2, 4, 8)],
 )
 def test_pump_outputs_normalized_across_parameters(F, schedule):
-    run = pump_double if schedule.scheme == "double" else pump_single
-    result = run(ChannelParams(F), schedule, MILD)
+    result = pump(ChannelParams(F), schedule, MILD)
     assert abs(result.f_out.sum() - 1.0) < 1e-12
     assert all(0.0 < p <= 1.0 for p in result.success_probs.values())
 
@@ -354,11 +350,22 @@ def test_schedule_rounds_are_capped():
         PumpSchedule.parse("1,300000")
 
 
-def test_pump_scheme_mismatch_rejected():
-    with pytest.raises(ValueError):
-        pump_single(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), MILD)
-    with pytest.raises(ValueError):
-        pump_double(ChannelParams(0.9), PumpSchedule.single(3, 4), MILD)
+def test_pump_runs_the_scheme_its_schedule_names():
+    # the number of counts names the scheme, so no schedule can mismatch it
+    single = pump(ChannelParams(0.9), PumpSchedule.single(3, 4), MILD)
+    double = pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), MILD)
+    assert list(single.success_probs) == ["p_lv1", "p_lv2"]
+    assert list(double.success_probs) == ["r_lv1", "p_lv1", "r_lv2"]
+
+
+def test_pump_refuses_a_noise_batch():
+    # one lane has one noise point; a batch goes to pump_lanes with an index
+    batch = depolarizing_noise(np.array([1e-3, 0.3]), np.array([1e-3, 0.3]))
+    with pytest.raises(ValueError, match=r"^pump takes one noise point, not a batch of shape \(2,\)$"):
+        pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), batch)
+    zero_d = NoiseParams(MILD.p_table, np.asarray(MILD.p_M))
+    assert_same_result(pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), zero_d),
+                       pump(ChannelParams(0.9), PumpSchedule.double(1, 2, 2), MILD))
 
 
 def test_success_probability_underflow_raises():
@@ -433,6 +440,11 @@ def test_stage_program_size_does_not_grow_with_the_rounds():
 PURE_X = np.array([0.0, 1.0, 0.0, 0.0])
 
 
+def stacked(*noises):
+    """One batched NoiseParams holding the given points in order."""
+    return NoiseParams(np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises]))
+
+
 def assert_same_result(a, b):
     assert np.array_equal(a.f_out, b.f_out)
     assert a.success_probs == b.success_probs
@@ -456,15 +468,17 @@ def test_lane_batch_equals_separate_runs(schedule, points, pure_x):
     # bit-flip start under noiseless operations makes its lane underflow
     # wherever a stage checks bit flips, and its NaN must not reach the others
     f_ini = [ChannelParams(F).f_ini for F, _, _ in points]
-    noises = [depolarizing_noise(p, r * p) for _, p, r in points]
+    p_g, p_M = [p for _, p, _ in points], [r * p for _, p, r in points]
     if pure_x:
         f_ini.append(PURE_X)
-        noises.append(NOISELESS)
+        p_g.append(0.0)
+        p_M.append(0.0)
     f_ini = np.array(f_ini)
-    index = np.arange(len(noises))[::-1]
-    lanes = pump_lanes(schedule, f_ini, noises[::-1], index)
-    for b, noise in enumerate(noises):
-        alone = pump_lanes(schedule, f_ini[b:b + 1], [noise], [0])
+    index = np.arange(len(p_g))[::-1]
+    # the batch is one depolarizing_noise call on the reversed rates
+    lanes = pump_lanes(schedule, f_ini, depolarizing_noise(np.array(p_g[::-1]), np.array(p_M[::-1])), index)
+    for b, noise in enumerate(map(depolarizing_noise, p_g, p_M)):
+        alone = pump_lanes(schedule, f_ini[b:b + 1], stacked(noise), [0])
         assert np.array_equal(lanes.f_out[b], alone.f_out[0], equal_nan=True)
         for mine, its in zip(lanes.probs + lanes.conditionals, alone.probs + alone.conditionals):
             assert np.array_equal(mine[..., b], its[..., 0], equal_nan=True)
@@ -504,10 +518,10 @@ def test_round_ring_is_sized_by_the_longest_stage():
     # lanes a full ring alone is 2 MB
     schedule, n = PumpSchedule.single(2, 4), 1024
     f_ini = np.tile(ChannelParams(0.9).f_ini, (n, 1))
-    pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))  # compile the program first
+    pump_lanes(schedule, f_ini, stacked(MILD), np.zeros(n, dtype=int))  # compile the program first
     tracemalloc.start()
     try:
-        lanes = pump_lanes(schedule, f_ini, [MILD], np.zeros(n, dtype=int))
+        lanes = pump_lanes(schedule, f_ini, stacked(MILD), np.zeros(n, dtype=int))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -604,8 +618,9 @@ def test_round_kernels_are_bitwise_the_lane_first_einsums(seed, points, lanes):
 def test_map_build_at_1024_points_stays_small():
     # the double-selection terms are gathered a few points at a time; the
     # 4-operand einsum they replace peaked at 11.2 MB here
-    noises = [depolarizing_noise(p, p) for p in np.linspace(1e-4, 0.04, 1024)]
-    p_tables, p_M = np.array([n.p_table for n in noises]), np.array([n.p_M for n in noises])
+    p = np.linspace(1e-4, 0.04, 1024)
+    noise = depolarizing_noise(p, p)
+    p_tables, p_M = noise.p_table, noise.p_M
     tracemalloc.start()
     try:
         purify._build_maps(p_tables, p_M)
@@ -623,7 +638,7 @@ def test_only_double_schedules_build_d(monkeypatch):
     monkeypatch.setattr(purify, "_build_maps",
                         lambda p_tables, p_M, double: built.append(double) or build_maps(p_tables, p_M, double))
     for schedule in SINGLE_SCHEDULE_PRESETS + DOUBLE_SCHEDULE_PRESETS:
-        pump_lanes(schedule, ChannelParams(0.9).f_ini[None], [MILD], [0])
+        pump_lanes(schedule, ChannelParams(0.9).f_ini[None], stacked(MILD), [0])
     assert built == [False] * len(SINGLE_SCHEDULE_PRESETS) + [True] * len(DOUBLE_SCHEDULE_PRESETS)
 
 

@@ -321,7 +321,8 @@ def test_a_lane_whose_first_stage_underflows_fails_and_is_omitted():
     # every rate, leaving f_out NaN and p_net 0: the lane fails the
     # conditions and reaches no level
     schedule = PumpSchedule.single(1200, 0)
-    lanes = purify.pump_lanes(schedule, ChannelParams(0.26).f_ini[None], [depolarizing_noise(1e-3, 1e-3)], [0])
+    noise = depolarizing_noise(np.array([1e-3]), np.array([1e-3]))
+    lanes = purify.pump_lanes(schedule, ChannelParams(0.26).f_ini[None], noise, [0])
     with pytest.raises(purify.SuccessProbabilityError, match="^level-1 single pumping: "):
         lanes.result(0)
     assert lanes.probs[0].tolist() == [0.0] and np.isnan(lanes.f_out).all() and lanes.p_net.tolist() == [0.0]
@@ -402,9 +403,9 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     batches, searches = [], []
     pump_lanes, crossings = threshold.pump_lanes, threshold._crossings
 
-    def recorded(schedule, f_ini, noises, index):
+    def recorded(schedule, f_ini, noise, index):
         batches.append(len(f_ini))
-        return pump_lanes(schedule, f_ini, noises, index)
+        return pump_lanes(schedule, f_ini, noise, index)
 
     def recorded_search(passes, n, scan, *args, **kwargs):
         sizes = []  # (a scan pass, lanes) of every pass
@@ -451,7 +452,8 @@ def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
 def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
     # lanes that repeat and permute (row, rate) pairs: each distinct pair is
     # pumped once, rate-major, in blocks of LANE_BLOCK pairs with one noise
-    # per distinct rate of a block, and every lane reads its own pair
+    # batch holding the distinct rates of a block, and every lane reads its
+    # own pair
     f_ini = np.array([ChannelParams(F).f_ini for F in (0.8, 0.9, 0.95)])
     k = np.array([2, 0, 2, 1, 0, 2, 1])
     p = np.array([2e-3, 1e-3, 2e-3, 1e-3, 3e-3, 1e-3, 1e-3])
@@ -463,14 +465,14 @@ def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
     noise, pump_lanes = threshold.depolarizing_noise, threshold.pump_lanes
 
     def recorded_noise(p_g, p_M):
-        made.append((noise(p_g, p_M), p_g))
+        made.append((noise(p_g, p_M), p_g.tolist()))
         return made[-1][0]
 
-    def recorded(schedule, f, noises, index):
-        rate_of = {id(x): p_g for x, p_g in made}
+    def recorded(schedule, f, batch, index):
+        rates = {id(x): p_g for x, p_g in made}[id(batch)]
         rows = [int(np.flatnonzero((f_ini == row).all(axis=1))[0]) for row in f]
-        blocks.append(([(rate_of[id(noises[i])], row) for i, row in zip(index, rows)], len(noises)))
-        return pump_lanes(schedule, f, noises, index)
+        blocks.append(([(rates[i], row) for i, row in zip(index, rows)], len(rates)))
+        return pump_lanes(schedule, f, batch, index)
 
     monkeypatch.setattr(threshold, "LANE_BLOCK", 3)
     alone = [threshold.pump_at(SCHED_122, f_ini, k[[b]], p[[b]], read)[0] for b in range(len(k))]
@@ -478,7 +480,7 @@ def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
     values = threshold.pump_at(SCHED_122, f_ini, k, p, read)
     assert blocks == [([(1e-3, 0), (1e-3, 1), (1e-3, 2)], 1), ([(2e-3, 2), (3e-3, 0)], 2)]
-    assert len(made) == 3
+    assert [p_g for _, p_g in made] == [[1e-3], [2e-3, 3e-3]]  # one call per block
     assert values.tobytes() == np.array(alone).tobytes()
 
 
@@ -501,9 +503,9 @@ def test_sweep_pump_counts_are_pinned(monkeypatch, sweep):
     calls = []
     pump_lanes = threshold.pump_lanes
 
-    def recorded(schedule, f_ini, noises, index):
-        calls.append((len(f_ini), len(noises)))
-        return pump_lanes(schedule, f_ini, noises, index)
+    def recorded(schedule, f_ini, noise, index):
+        calls.append((len(f_ini), noise.p_M.size))
+        return pump_lanes(schedule, f_ini, noise, index)
 
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
     run()

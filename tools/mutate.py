@@ -61,8 +61,8 @@ EQUIVALENT = {
         "equal to p_M, an event of probability 2**-53 at most",
     ("pauli.py", "if not abs(f.sum() - 1.0) <= ATOL:", "<= -> <"):
         "a float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
-    ("pauli.py", "if not abs(table.sum() - 1.0) <= ATOL:", "<= -> <"):
-        "a float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
+    ("pauli.py", '_refuse(abs(sums - 1.0) <= ATOL, sums, "p_table must sum to 1, got {!r}")', "<= -> <"):
+        "a point's float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
 }
 
 
