@@ -127,8 +127,7 @@ class NoiseParams:
         if table.shape != batch + (4, 4):
             per_point = f" for p_M of shape {batch}" if batch else ""
             raise ValueError(f"p_table must be 4x4, got shape {table.shape}{per_point}")
-        if not table.min() >= -ATOL:
-            raise ValueError("p_table entries must be non-negative")
+        _refuse(table >= -ATOL, table, "p_table entries must be non-negative, got {}")
         sums = np.add.reduce(table, axis=(-2, -1))
         _refuse(abs(sums - 1.0) <= ATOL, sums, "p_table must sum to 1, got {!r}")
         object.__setattr__(self, "p_table", table)

@@ -21,11 +21,15 @@ from pass to fail, the sign of a value: the smallest relative slack of the
 fault-tolerance bounds (:func:`ft_slack`), or a contour's level less its
 read.  :func:`_crossings` answers both: it scans a fixed rate grid, then
 bisects every bracket together.  Each bisection pass predicts each lane's
-path by regula falsi on the values at its bracket ends, pumps the predicted
-path's midpoints in one pass and follows the path as far as the pumped
-verdicts confirm it, and one step beyond.  Each point is bitwise the point
-a plain bisection of that fidelity alone finds; ``threshold_pg`` and
-``pipeline_passes`` are the one-lane calls.
+crossing, by inverse quadratic interpolation through the scan values on
+the first pass and by regula falsi on the values at its bracket ends
+after, pumps the predicted path's midpoints in one pass and follows the
+path as far as the pumped verdicts confirm it, and one step beyond.  A
+threshold lane's first path runs to the end of the bisection where a
+second interpolant, through the scan value above the bracket, predicts
+the same start, so most threshold sweeps bisect in one pass.  Each point
+is bitwise the point a plain bisection of that fidelity alone finds;
+``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -206,10 +210,11 @@ LANE_BLOCK = 1024
 
 def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="equal") -> np.ndarray:
     """Pump lane b from the fidelity row ``f_ini[k[b]]`` at the gate error
-    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p)`` of the pumped
-    :class:`Lanes` and their gate errors ``p``: one value per lane.  Each
-    distinct (rate, row) pair is pumped once, the pairs rate-major and
-    LANE_BLOCK at a time: one noise batch and map build per block."""
+    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p_M)`` of the
+    pumped :class:`Lanes` and their measurement errors ``p_M``, taken from
+    the noise batch: one value per lane.  Each distinct (rate, row) pair is
+    pumped once, the pairs rate-major and LANE_BLOCK at a time: one noise
+    batch and map build per block."""
     # a (rate, row) pair as a complex number: complex numbers sort by real
     # part, then imaginary, so the distinct pairs come rate-major
     pair, same = np.unique(p_g + 1j * k, return_inverse=True)
@@ -217,9 +222,10 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="e
     reads = []
     for b in range(0, len(p), LANE_BLOCK):
         block = p[b:b + LANE_BLOCK]
-        points, index = np.unique(block, return_inverse=True)
+        new = np.concatenate(([True], block[1:] != block[:-1]))  # the block's distinct rates, in order
+        points, index = block[new], np.cumsum(new) - 1
         noise = depolarizing_noise(points, p_M_of(p_M_rule, points))
-        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), block))
+        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), noise.p_M[index]))
     return np.concatenate(reads)[same]
 
 
@@ -228,11 +234,8 @@ def _passes(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, p_M_rule, cond: T
     sign is its verdict: pump, evaluate the error-class rates and check the
     conditions.  A lane whose pumping underflows has a NaN f_out and slack,
     so it fails."""
-
-    def slack(lanes: Lanes, p):
-        return ft_slack(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
-
-    return pump_at(schedule, f_ini, k, p_g, slack, p_M_rule)
+    pumped = pump_at(schedule, f_ini, k, p_g, lambda lanes, p_M: np.column_stack((lanes.f_out, p_M)), p_M_rule)
+    return ft_slack(q_values(pumped[:, :4], p_g, pumped[:, 4]), cond)  # f_out and p_M of each lane
 
 
 def pipeline_passes(
@@ -269,14 +272,19 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     ``mean(lo, hi)`` together while ``wide(lo, hi)`` and the midpoint moves
     (near 0, subnormal rates stop it before ``wide`` does).
 
-    Each pass predicts every lane's bisection path and checks it: regula
-    falsi on the values at the bracket ends predicts the crossing, the
-    bisection replayed on the predicted verdicts gives up to PATH_STEPS
-    midpoints, and one pass pumps them all.  The lane then takes the steps
-    whose verdicts were predicted right and the first wrong one, so every
-    step it takes is the bisection's own, on a pumped verdict.  Returns the
-    verdicts at ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every
-    lane."""
+    Each pass predicts every lane's crossing, replays the bisection on the
+    predicted verdicts and pumps the midpoints of that path in one pass.
+    The first pass predicts by Brent's inverse quadratic interpolation
+    through the scan values at rates k-2, k-1 and k, k the lane's first
+    failing scan rate; a later pass, or a prediction that is not finite or
+    leaves the bracket, by regula falsi on the values at the bracket ends,
+    else at the midpoint.  A path holds PATH_STEPS midpoints, or the whole
+    bisection where the interpolant through rates k-1, k and k+1, the scan
+    value above the bracket, predicts the same first PATH_STEPS verdicts.
+    The lane then takes the steps whose verdicts were predicted right and
+    the first wrong one, so every step it takes is the bisection's own, on a
+    pumped verdict.  Returns the verdicts at ``grid[0]``, the bracketed mask
+    and ``mean(lo, hi)`` of every lane."""
     values = np.full((n, grid.size), math.nan)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
@@ -289,9 +297,21 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     if first_fail:
         flags = np.logical_and.accumulate(flags, axis=1)
     bracketed = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
-    k = np.argmin(flags, axis=1)  # first failing scan rate
-    lo, hi = grid[k - 1], grid[k]
-    v_lo, v_hi = values[np.arange(n), k - 1], values[np.arange(n), k]
+    # scan rates k-2 .. k+1, k the first fail; one off the grid repeats its
+    # neighbour, and no interpolant through a repeated point is finite
+    at = (np.argmin(flags, axis=1)[:, None] + np.arange(-2, 2)).clip(0, grid.size - 1)
+    p_near, v_near = grid[at].T, values[np.arange(n)[:, None], at].T
+    lo, hi, v_lo, v_hi = p_near[1], p_near[2], v_near[1], v_near[2]
+
+    @np.errstate(divide="ignore", over="ignore", invalid="ignore")
+    def interpolate(p, v):
+        """Brent's inverse quadratic interpolation: where the quadratic in v
+        through the points (p[i], v[i]), i = 0, 1, 2, reaches v = 0."""
+        v1, v2 = np.roll(v, 1, axis=0), np.roll(v, 2, axis=0)
+        return (p * v1 * v2 / ((v - v1) * (v - v2))).sum(axis=0)
+
+    # the first pass's prediction, and the gate's through the value above the bracket
+    guide = np.array([interpolate(p_near[:3], v_near[:3]), interpolate(p_near[1:], v_near[1:])])
 
     def bisect(l, h, mid, ok):
         """One bisection step at ``mid`` = mean(l, h) with verdict ``ok``: the
@@ -301,31 +321,32 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
 
     go = bracketed & wide(lo, hi)
     while go.any():
-        l, h = lo[go], hi[go]
+        l, h, v_l, v_h, (x, x_above) = lo[go], hi[go], v_lo[go], v_hi[go], guide[:, go]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            x = l + (h - l) * (v_lo[go] / (v_lo[go] - v_hi[go]))  # regula falsi
-        x = np.where(np.isfinite(x), x, mean(l, h))
-        mids, guess = np.empty((PATH_STEPS, l.size)), np.empty((PATH_STEPS, l.size), dtype=bool)
-        on = np.ones((PATH_STEPS, l.size), dtype=bool)  # the steps the replayed bisection takes
-        for s in range(PATH_STEPS):  # the bisection on the predicted verdicts
-            mids[s] = mean(l, h)
-            guess[s] = mids[s] < x
-            l, h, more = bisect(l, h, mids[s], guess[s])
-            on[s + 1:] &= more
+            x = np.where((l < x) & (x < h), x, l + (h - l) * (v_l / (v_l - v_h)))  # else regula falsi
+        x, agree = np.where(np.isfinite(x), x, mean(l, h)), np.isfinite(x_above)
+        mids, guess, ends, on = [], [], [], [np.ones(l.size, dtype=bool)]
+        while on[-1].any():  # the bisection on the predicted verdicts
+            ends.append((l, h))
+            mids.append(mean(l, h))
+            guess.append(mids[-1] < x)
+            if len(mids) <= PATH_STEPS:
+                agree &= (mids[-1] < x_above) == guess[-1]
+            l, h, more = bisect(l, h, mids[-1], guess[-1])
+            on.append(on[-1] & more & (len(mids) < PATH_STEPS or agree))
+        mids, guess, on = np.array(mids), np.array(guess), np.array(on)
+        ls, hs = np.array(ends).transpose(1, 0, 2)  # the bracket before each step
         pumped = np.full(mids.shape, math.nan)
-        pumped[on] = value(np.broadcast_to(np.flatnonzero(go), mids.shape)[on], mids[on])
-        l, h, v_l, v_h = lo[go], hi[go], v_lo[go], v_hi[go]
-        walk = more = on[0]
-        for s in range(PATH_STEPS):  # the bisection on the pumped verdicts, while they were predicted
-            ok = pumped[s] > 0
-            l_s, h_s, more_s = bisect(l, h, mids[s], ok)
-            l, h, more = np.where(walk, l_s, l), np.where(walk, h_s, h), np.where(walk, more_s, more)
-            v_l, v_h = np.where(walk & ok, pumped[s], v_l), np.where(walk & ~ok, pumped[s], v_h)
-            walk = walk & more_s & (ok == guess[s])
-            if not walk.any():
-                break
+        pumped[on[:-1]] = value(np.broadcast_to(np.flatnonzero(go), mids.shape)[on[:-1]], mids[on[:-1]])
+        # each lane takes the steps up to its first mispredicted or last pumped one
+        ok, steps, c = pumped > 0, np.arange(len(mids))[:, None], np.arange(l.size)
+        stop = ((ok != guess) | ~on[1:]).argmax(axis=0)
+        l, h, more = bisect(ls[stop, c], hs[stop, c], mids[stop, c], ok[stop, c])
+        # the last step taken that passed, and that failed, give the values at the new bracket ends
+        end_lo, end_hi = (np.where((steps <= stop) & m, steps, -1).max(axis=0) for m in (ok, ~ok))
+        v_l, v_h = np.where(end_lo < 0, v_l, pumped[end_lo, c]), np.where(end_hi < 0, v_h, pumped[end_hi, c])
         lo[go], hi[go], v_lo[go], v_hi[go] = l, h, v_l, v_h
-        go[go] = more
+        go[go], guide[:] = more, math.nan  # later passes: regula falsi, PATH_STEPS steps
     return flags[:, 0], bracketed, mean(lo, hi)
 
 

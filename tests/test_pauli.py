@@ -152,8 +152,8 @@ def test_a_batch_takes_the_ends_of_its_ranges():
     with pytest.raises(ValueError, match=r"^p_table must be 4x4, got shape \(3, 4, 4\) for p_M of shape \(2,\)$"):
         NoiseParams(tables, np.zeros(2))
     tables[1:] = tables[0]
-    tables[2, 1, 1] = -2e-12
-    with pytest.raises(ValueError, match="non-negative"):
+    tables[2, 1, 1], tables[2, 2, 1] = -2e-12, -0.5  # the refusal names the first, in row-major order
+    with pytest.raises(ValueError, match=r"^p_table entries must be non-negative, got -2e-12$"):
         NoiseParams(tables, np.zeros(3))
 
 
@@ -232,7 +232,7 @@ def test_inputs_on_their_bounds_pass():
     table[0, 0], table[1, 2] = 1 + 1e-12, -1e-12
     assert NoiseParams(p_table=table, p_M=0.0).p_table[1, 2] == -1e-12
     table[0, 0], table[1, 2] = 1 + 2e-12, -2e-12
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match=r"^p_table entries must be non-negative, got -2e-12$"):
         NoiseParams(p_table=table, p_M=0.0)
     assert effective_pg(0.0, 0.0, 0) == 0.0
     assert effective_pg(0.0, 1e-4, 0) == 0.0

@@ -395,7 +395,8 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     # block size changes no point; a scan pass holds as many rates as fit in
     # LANE_BLOCK lanes, but at least one, so no scan pass exceeds the sweep's
     # lanes; a bisection pass pumps the predicted path of each bracket, so it
-    # holds at most PATH_STEPS lanes per bracketed lane
+    # holds at most PATH_STEPS lanes per bracketed lane, except a threshold
+    # search's first, whose gated paths may run to a full bisection's steps
     grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
     levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
     curve = threshold_curve(SCHED_122, grid)
@@ -415,7 +416,7 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
             return passes(lanes, p)
 
         result = crossings(recorded_pass, n, scan, *args, **kwargs)
-        searches.append((sizes, result[1].sum()))
+        searches.append((sizes, result[1].sum(), kwargs["first_fail"]))
         return result
 
     monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
@@ -424,10 +425,16 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     assert threshold_curve(SCHED_122, grid) == curve
     assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
     assert max(batches) == 7
-    scans = [size for sizes, _ in searches for on_scan, size in sizes if on_scan]
-    steps = [(size, bracketed) for sizes, bracketed in searches for on_scan, size in sizes if not on_scan]
+    scans = [size for sizes, _, _ in searches for on_scan, size in sizes if on_scan]
+    steps = [(size, bracketed, i == 0 and not first_fail) for sizes, bracketed, first_fail in searches
+             for i, size in enumerate(size for on_scan, size in sizes if not on_scan)]
     assert max(scans) <= len(levels) * len(cost_grid) == 12
-    assert steps and all(size <= threshold.PATH_STEPS * bracketed for size, bracketed in steps)
+    # the geometric bisection of a threshold scan bracket to REL_TOL: 13 steps
+    scan = np.geomspace(1e-6, threshold.P_MAX, 24)
+    full = math.ceil(math.log2(math.log(scan[1] / scan[0]) / math.log1p(REL_TOL)))
+    assert steps and all(size <= (full if gated else threshold.PATH_STEPS) * bracketed
+                         for size, bracketed, gated in steps)
+    assert any(size > threshold.PATH_STEPS * bracketed for size, bracketed, _ in steps)  # a gate opened
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
@@ -486,14 +493,15 @@ def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
 
 # pump_lanes calls, lanes and noise points of a few sweeps.  The predicted
 # bisection paths move no point of a sweep, only these counts; they hang on
-# the pumped values alone, so no machine changes them
+# the pumped values and the interpolation's arithmetic alone, so no machine
+# changes them.  The threshold sweeps' gated paths finish in one bisection pass
 PUMP_COUNTS = {
-    "threshold": (lambda: threshold_curve(SCHED_3414, np.linspace(0.7, 1.0, 8)), (3, 296, 62)),
+    "threshold": (lambda: threshold_curve(SCHED_3414, np.linspace(0.7, 1.0, 8)), (2, 296, 62)),
     "threshold at margin 1/3": (lambda: threshold_curve(
-        SCHED_122, [0.75, 0.8, 0.9, 0.95, 1.0], "four_fifteenths", ThresholdConditions(1 / 3)), (3, 159, 62)),
+        SCHED_122, [0.75, 0.8, 0.9, 0.95, 1.0], "four_fifteenths", ThresholdConditions(1 / 3)), (2, 159, 62)),
     "cost contour": (lambda: contour_expected_cost(
-        SCHED_122, [20.0, 80.0, 400.0], [0.8, 0.9, 0.95, 0.99], CostModel(count_local_ops=True)), (4, 105, 62)),
-    "infidelity contour": (lambda: contour_infidelity([SCHED_3414], 1e-3, np.linspace(0.6, 1.0, 5)), (3, 109, 53)),
+        SCHED_122, [20.0, 80.0, 400.0], [0.8, 0.9, 0.95, 0.99], CostModel(count_local_ops=True)), (4, 100, 57)),
+    "infidelity contour": (lambda: contour_infidelity([SCHED_3414], 1e-3, np.linspace(0.6, 1.0, 5)), (3, 110, 54)),
 }
 
 
@@ -619,15 +627,19 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
 @st.composite
 def smooth_values(draw):
     """A value of the rate p that turns from positive to negative at a
-    crossing c, or never below P_MAX: a line, an exponential, or the smaller
-    of two lines, whose kink lies below c, often inside c's scan bracket.
-    Regula falsi predicts the line's path right and the others' wrong at
-    some step."""
+    crossing c, or never below P_MAX: a line, a quadratic, an exponential,
+    or the smaller of two lines, whose kink lies below c, often inside c's
+    scan bracket.  The predictions get the line's path right, and often the
+    quadratic's first PATH_STEPS steps, which opens a threshold lane's gate
+    to a full-length path; the others' they get wrong at some step."""
     c = 10.0 ** draw(st.floats(-6.5, -1.0))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
-    shape = draw(st.sampled_from(["line", "exponential", "kink"]))
+    shape = draw(st.sampled_from(["line", "quadratic", "exponential", "kink"]))
     if shape == "line":
         return lambda p: scale * (c - p)
+    if shape == "quadratic":
+        curve = draw(st.floats(0.0, 1.0))
+        return lambda p: scale * (c - p) * (1.0 + curve * p / c)
     if shape == "exponential":
         rate = draw(st.floats(1.0, 500.0)) / c
         return lambda p: scale * math.expm1(rate * (c - p))
@@ -702,6 +714,123 @@ def test_a_bracket_end_with_no_value_predicts_the_midpoint():
         lo = path[-1]
     assert pumped[1] == path
     assert found[0] and rates[0] == reference_crossing(lambda p: p < 2.9e-5)
+
+
+THRESHOLD_SCAN = np.geomspace(1e-6, threshold.P_MAX, 24)
+CONTOUR_SCAN = np.array([0.0] + [1e-5 * 2.0**k for k in range(13)])
+GEOMETRIC = (lambda lo, hi: np.sqrt(lo * hi), lambda lo, hi: hi - lo > REL_TOL * lo)
+ARITHMETIC = (lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi)
+
+
+def recorded_crossings(value, n, scan, search, first_fail):
+    """``_crossings`` of ``value(lanes, p)`` over n lanes, and the (lanes,
+    rates) of every pass it pumps."""
+    passes = []
+
+    def recorded(lanes, p):
+        passes.append((lanes.tolist(), p.tolist()))
+        return value(lanes, p)
+
+    return threshold._crossings(recorded, n, scan, *search, first_fail=first_fail), passes
+
+
+def predicted_path(lo, hi, x, mean):
+    """The first PATH_STEPS midpoints of the bisection of [lo, hi] on the
+    verdicts that a crossing at x predicts."""
+    path = []
+    for _ in range(threshold.PATH_STEPS):
+        path.append(mean(lo, hi))
+        lo, hi = (path[-1], hi) if path[-1] < x else (lo, path[-1])
+    return path
+
+
+def test_threshold_lanes_whose_inverse_is_quadratic_finish_in_one_bisection_pass():
+    # p is a quadratic in the value, so both interpolants meet the crossing
+    # c itself: the gate opens, and every lane's full-length path is right
+    crossings = np.array([3e-6, 2e-4, 1.1e-3, 7e-3])
+
+    def value(lanes, p):  # p = c - 2 v sqrt(s) - v**2, s = 0.06
+        return np.sqrt(crossings[lanes] + 0.06 - p) - math.sqrt(0.06)
+
+    (first, found, th), passes = recorded_crossings(value, 4, THRESHOLD_SCAN, GEOMETRIC, False)
+    assert len(passes) == 2 and len(passes[1][1]) > threshold.PATH_STEPS * 4
+    assert first.all() and found.all()
+    for c, t in zip(crossings, th):
+        assert t == reference_threshold(lambda p: math.sqrt(c + 0.06 - p) - math.sqrt(0.06) > 0)
+
+
+def test_a_lane_with_no_value_or_a_kink_above_its_bracket_keeps_path_steps():
+    # a line whose value is NaN from between scan rates k and k+1 on, and a
+    # line that turns 10 times steeper there: the scan value above the
+    # bracket gives no interpolant, or one that predicts other verdicts, so
+    # the gate stays shut and each first path holds PATH_STEPS midpoints
+    c, q = 3e-4, 0.5 * (THRESHOLD_SCAN[13] + THRESHOLD_SCAN[14])  # k = 13
+
+    def value(lanes, p):
+        return np.where(lanes == 0, np.where(p < q, c - p, math.nan),
+                        np.where(p < q, c - p, c - q - 10.0 * (p - q)))
+
+    (first, found, th), passes = recorded_crossings(value, 2, THRESHOLD_SCAN, GEOMETRIC, False)
+    assert np.searchsorted(THRESHOLD_SCAN, c) == 13
+    assert len(passes[1][1]) == 2 * threshold.PATH_STEPS and len(passes) == 3
+    assert th.tolist() == [reference_threshold(lambda p: c - p > 0)] * 2
+
+
+def test_the_first_prediction_falls_back_to_regula_falsi_then_the_midpoint():
+    # four contour lanes bracketed at k = 3, between 2e-5 and 4e-5, whose
+    # values are linear between their scan values: the inverse quadratic
+    # interpolation through rates k-2, k-1 and k predicts the first lane's
+    # crossing inside the bracket, the second's outside, where regula falsi
+    # predicts instead, and the third's not at all (two equal values), nor
+    # can anything predict the fourth's, NaN at the bracket's top, but the
+    # midpoint
+    scan_values = np.array([[3.0, 2.5, 1.5, -1.0], [1.0, 0.99, 0.98, -5.0],
+                            [3.0, 1.0, 1.0, -3.0], [3.0, 1.0, 1.0, math.nan]])
+
+    def value(lanes, p):
+        return np.array([np.interp(x, CONTOUR_SCAN[:4], scan_values[i]) for i, x in zip(lanes, p)])
+
+    def inverse_quadratic(p, v):  # Lagrange's form in v, at v = 0
+        return sum(p[i] * v[i - 1] * v[i - 2] / ((v[i] - v[i - 1]) * (v[i] - v[i - 2])) for i in range(3))
+
+    (_, found, rates), passes = recorded_crossings(value, 4, CONTOUR_SCAN, ARITHMETIC, True)
+    lo, hi = CONTOUR_SCAN[2:4]
+    guess = [inverse_quadratic(CONTOUR_SCAN[1:4], v[1:]) for v in scan_values[:2]]
+    falsi = [lo + (hi - lo) * (v[2] / (v[2] - v[3])) for v in scan_values[1:3]]
+    assert lo < guess[0] < hi and not lo < guess[1] < hi
+    predicted = [guess[0], *falsi, 0.5 * (lo + hi)]
+    lanes, rates_pumped = passes[1]
+    for b, x in enumerate(predicted):
+        assert [p for lane, p in zip(lanes, rates_pumped) if lane == b] == predicted_path(lo, hi, x, ARITHMETIC[0])
+    assert found.all() and rates.tolist() == [
+        reference_crossing(lambda p: np.interp(p, CONTOUR_SCAN[:4], v) > 0) for v in scan_values]
+
+
+def test_a_later_pass_predicts_by_regula_falsi_on_the_pumped_bracket_ends():
+    # two contour lanes bracketed between 2e-5 and 4e-5, linear between the
+    # knots of their values, whose first paths are mispredicted at steps 2
+    # and 3: the first passes at its first midpoint m and fails after, the
+    # second fails at m and passes after, so m is the end of the new
+    # bracket whose value the walk must keep from step 0
+    knots = [np.array([0.0, 1e-5, 2e-5, 3e-5, 3.1e-5, 4e-5]), np.array([0.0, 1e-5, 2e-5, 2.98e-5, 3e-5, 4e-5])]
+    knot_values = [[4.0, 3.0, 2.0, 1.0, -1.0, -2.0], [3.0, 2.0, 1.0, 0.01, -0.5, -4.0]]
+
+    def at(b, p):
+        return np.interp(p, knots[b], knot_values[b])
+
+    (_, found, rates), passes = recorded_crossings(
+        lambda lanes, p: np.array([at(b, x) for b, x in zip(lanes, p)]), 2, CONTOUR_SCAN, ARITHMETIC, True)
+    mean = ARITHMETIC[0]
+    lo, hi = CONTOUR_SCAN[2:4]
+    m = mean(lo, hi)
+    # pass, fail, then a fail predicted to pass; fail, pass, pass, then a
+    # pass predicted to fail
+    brackets = [(m, mean(m, mean(m, hi))), (mean(mean(mean(lo, m), m), m), m)]
+    lanes, rates_pumped = passes[2]
+    for lane, (l, h) in enumerate(brackets):
+        x = l + (h - l) * (at(lane, l) / (at(lane, l) - at(lane, h)))
+        assert [p for i, p in zip(lanes, rates_pumped) if i == lane] == predicted_path(l, h, x, mean)
+    assert found.all() and rates.tolist() == [reference_crossing(lambda p: at(lane, p) > 0) for lane in (0, 1)]
 
 
 def test_a_contour_lane_leaves_the_scan_where_it_reads_its_level(monkeypatch):
