@@ -25,11 +25,10 @@ crossing, by inverse quadratic interpolation through the scan values on
 the first pass and by regula falsi on the values at its bracket ends
 after, pumps the predicted path's midpoints in one pass and follows the
 path as far as the pumped verdicts confirm it, and one step beyond.  A
-threshold lane's first path runs to the end of the bisection where a
-second interpolant, through the scan value above the bracket, predicts
-the same start, so most threshold sweeps bisect in one pass.  Each point
-is bitwise the point a plain bisection of that fidelity alone finds;
-``threshold_pg`` and ``pipeline_passes`` are the one-lane calls.
+threshold search's first paths run to the end of the bisection, so most
+threshold sweeps bisect in one pass.  Each point is bitwise the point a
+plain bisection of that fidelity alone finds; ``threshold_pg`` and
+``pipeline_passes`` are the one-lane calls.
 """
 
 from __future__ import annotations
@@ -210,11 +209,10 @@ LANE_BLOCK = 1024
 
 def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="equal") -> np.ndarray:
     """Pump lane b from the fidelity row ``f_ini[k[b]]`` at the gate error
-    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p_M)`` of the
-    pumped :class:`Lanes` and their measurement errors ``p_M``, taken from
-    the noise batch: one value per lane.  Each distinct (rate, row) pair is
-    pumped once, the pairs rate-major and LANE_BLOCK at a time: one noise
-    batch and map build per block."""
+    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p)`` of the pumped
+    :class:`Lanes` and their gate errors ``p``: one value per lane.  Each
+    distinct (rate, row) pair is pumped once, the pairs rate-major and
+    LANE_BLOCK at a time: one noise batch and map build per block."""
     # a (rate, row) pair as a complex number: complex numbers sort by real
     # part, then imaginary, so the distinct pairs come rate-major
     pair, same = np.unique(p_g + 1j * k, return_inverse=True)
@@ -225,7 +223,7 @@ def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="e
         new = np.concatenate(([True], block[1:] != block[:-1]))  # the block's distinct rates, in order
         points, index = block[new], np.cumsum(new) - 1
         noise = depolarizing_noise(points, p_M_of(p_M_rule, points))
-        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), noise.p_M[index]))
+        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), block))
     return np.concatenate(reads)[same]
 
 
@@ -234,8 +232,11 @@ def _passes(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, p_M_rule, cond: T
     sign is its verdict: pump, evaluate the error-class rates and check the
     conditions.  A lane whose pumping underflows has a NaN f_out and slack,
     so it fails."""
-    pumped = pump_at(schedule, f_ini, k, p_g, lambda lanes, p_M: np.column_stack((lanes.f_out, p_M)), p_M_rule)
-    return ft_slack(q_values(pumped[:, :4], p_g, pumped[:, 4]), cond)  # f_out and p_M of each lane
+
+    def slack(lanes: Lanes, p):
+        return ft_slack(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
+
+    return pump_at(schedule, f_ini, k, p_g, slack, p_M_rule)
 
 
 def pipeline_passes(
@@ -278,13 +279,12 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     through the scan values at rates k-2, k-1 and k, k the lane's first
     failing scan rate; a later pass, or a prediction that is not finite or
     leaves the bracket, by regula falsi on the values at the bracket ends,
-    else at the midpoint.  A path holds PATH_STEPS midpoints, or the whole
-    bisection where the interpolant through rates k-1, k and k+1, the scan
-    value above the bracket, predicts the same first PATH_STEPS verdicts.
-    The lane then takes the steps whose verdicts were predicted right and
-    the first wrong one, so every step it takes is the bisection's own, on a
-    pumped verdict.  Returns the verdicts at ``grid[0]``, the bracketed mask
-    and ``mean(lo, hi)`` of every lane."""
+    else at the midpoint.  A path holds PATH_STEPS midpoints, but a
+    threshold search's first paths (not ``first_fail``) hold the whole
+    bisection.  The lane then takes the steps whose verdicts were predicted
+    right and the first wrong one, so every step it takes is the
+    bisection's own, on a pumped verdict.  Returns the verdicts at
+    ``grid[0]``, the bracketed mask and ``mean(lo, hi)`` of every lane."""
     values = np.full((n, grid.size), math.nan)
     live, j, step = np.arange(n), 0, max(1, LANE_BLOCK // max(n, 1))
     while live.size and j < grid.size:
@@ -297,9 +297,9 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
     if first_fail:
         flags = np.logical_and.accumulate(flags, axis=1)
     bracketed = flags[:, 0] & ((flags[:, 1:] != flags[:, :-1]).sum(axis=1) == 1)
-    # scan rates k-2 .. k+1, k the first fail; one off the grid repeats its
+    # scan rates k-2 .. k, k the first fail; one off the grid repeats its
     # neighbour, and no interpolant through a repeated point is finite
-    at = (np.argmin(flags, axis=1)[:, None] + np.arange(-2, 2)).clip(0, grid.size - 1)
+    at = (np.argmin(flags, axis=1)[:, None] + np.arange(-2, 1)).clip(0)
     p_near, v_near = grid[at].T, values[np.arange(n)[:, None], at].T
     lo, hi, v_lo, v_hi = p_near[1], p_near[2], v_near[1], v_near[2]
 
@@ -310,8 +310,8 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
         v1, v2 = np.roll(v, 1, axis=0), np.roll(v, 2, axis=0)
         return (p * v1 * v2 / ((v - v1) * (v - v2))).sum(axis=0)
 
-    # the first pass's prediction, and the gate's through the value above the bracket
-    guide = np.array([interpolate(p_near[:3], v_near[:3]), interpolate(p_near[1:], v_near[1:])])
+    # the first pass's prediction, and whether its paths run to the end
+    guide, full = interpolate(p_near, v_near), not first_fail
 
     def bisect(l, h, mid, ok):
         """One bisection step at ``mid`` = mean(l, h) with verdict ``ok``: the
@@ -321,19 +321,17 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
 
     go = bracketed & wide(lo, hi)
     while go.any():
-        l, h, v_l, v_h, (x, x_above) = lo[go], hi[go], v_lo[go], v_hi[go], guide[:, go]
+        l, h, v_l, v_h, x = lo[go], hi[go], v_lo[go], v_hi[go], guide[go]
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             x = np.where((l < x) & (x < h), x, l + (h - l) * (v_l / (v_l - v_h)))  # else regula falsi
-        x, agree = np.where(np.isfinite(x), x, mean(l, h)), np.isfinite(x_above)
+        x = np.where(np.isfinite(x), x, mean(l, h))
         mids, guess, ends, on = [], [], [], [np.ones(l.size, dtype=bool)]
         while on[-1].any():  # the bisection on the predicted verdicts
             ends.append((l, h))
             mids.append(mean(l, h))
             guess.append(mids[-1] < x)
-            if len(mids) <= PATH_STEPS:
-                agree &= (mids[-1] < x_above) == guess[-1]
             l, h, more = bisect(l, h, mids[-1], guess[-1])
-            on.append(on[-1] & more & (len(mids) < PATH_STEPS or agree))
+            on.append(on[-1] & more & (full or len(mids) < PATH_STEPS))
         mids, guess, on = np.array(mids), np.array(guess), np.array(on)
         ls, hs = np.array(ends).transpose(1, 0, 2)  # the bracket before each step
         pumped = np.full(mids.shape, math.nan)
@@ -346,7 +344,7 @@ def _crossings(value, n: int, grid: np.ndarray, mean, wide, first_fail: bool):
         end_lo, end_hi = (np.where((steps <= stop) & m, steps, -1).max(axis=0) for m in (ok, ~ok))
         v_l, v_h = np.where(end_lo < 0, v_l, pumped[end_lo, c]), np.where(end_hi < 0, v_h, pumped[end_hi, c])
         lo[go], hi[go], v_lo[go], v_hi[go] = l, h, v_l, v_h
-        go[go], guide[:] = more, math.nan  # later passes: regula falsi, PATH_STEPS steps
+        go[go], guide[:], full = more, math.nan, False  # later passes: regula falsi, PATH_STEPS steps
     return flags[:, 0], bracketed, mean(lo, hi)
 
 

@@ -396,7 +396,9 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
     # LANE_BLOCK lanes, but at least one, so no scan pass exceeds the sweep's
     # lanes; a bisection pass pumps the predicted path of each bracket, so it
     # holds at most PATH_STEPS lanes per bracketed lane, except a threshold
-    # search's first, whose gated paths may run to a full bisection's steps
+    # search's first, whose paths run to a full bisection's steps.  At the
+    # default LANE_BLOCK a contour's scan runs in one pass, past each lane's
+    # first fail, and its paths still hold PATH_STEPS
     grid, cost_grid = [0.75, 0.8, 0.9, 0.95, 1.0], [0.8, 0.9, 0.95, 0.99]
     levels, model = [20.0, 80.0, 400.0], CostModel(count_local_ops=True)
     curve = threshold_curve(SCHED_122, grid)
@@ -419,22 +421,25 @@ def test_sweeps_pump_at_most_lane_block_lanes(monkeypatch):
         searches.append((sizes, result[1].sum(), kwargs["first_fail"]))
         return result
 
-    monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
     monkeypatch.setattr(threshold, "_crossings", recorded_search)
+    contour_expected_cost(SCHED_122, levels, cost_grid, model)
+    assert searches[0][0][0] == (True, len(levels) * len(cost_grid) * 14)  # the whole scan in one pass
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 7)
+    batches.clear()
     assert threshold_curve(SCHED_122, grid) == curve
     assert contour_expected_cost(SCHED_122, levels, cost_grid, model) == cost
     assert max(batches) == 7
     scans = [size for sizes, _, _ in searches for on_scan, size in sizes if on_scan]
     steps = [(size, bracketed, i == 0 and not first_fail) for sizes, bracketed, first_fail in searches
              for i, size in enumerate(size for on_scan, size in sizes if not on_scan)]
-    assert max(scans) <= len(levels) * len(cost_grid) == 12
+    assert max(scans[1:]) <= len(levels) * len(cost_grid) == 12  # after the default's one scan pass
     # the geometric bisection of a threshold scan bracket to REL_TOL: 13 steps
     scan = np.geomspace(1e-6, threshold.P_MAX, 24)
     full = math.ceil(math.log2(math.log(scan[1] / scan[0]) / math.log1p(REL_TOL)))
-    assert steps and all(size <= (full if gated else threshold.PATH_STEPS) * bracketed
-                         for size, bracketed, gated in steps)
-    assert any(size > threshold.PATH_STEPS * bracketed for size, bracketed, _ in steps)  # a gate opened
+    assert steps and all(size <= (full if long_paths else threshold.PATH_STEPS) * bracketed
+                         for size, bracketed, long_paths in steps)
+    assert any(size > threshold.PATH_STEPS * bracketed for size, bracketed, _ in steps)  # a full path ran
 
 
 def test_threshold_scan_builds_each_rate_once_per_block(monkeypatch):
@@ -494,14 +499,14 @@ def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
 # pump_lanes calls, lanes and noise points of a few sweeps.  The predicted
 # bisection paths move no point of a sweep, only these counts; they hang on
 # the pumped values and the interpolation's arithmetic alone, so no machine
-# changes them.  The threshold sweeps' gated paths finish in one bisection pass
+# changes them.  The threshold sweeps' full paths finish in one bisection pass
 PUMP_COUNTS = {
     "threshold": (lambda: threshold_curve(SCHED_3414, np.linspace(0.7, 1.0, 8)), (2, 296, 62)),
     "threshold at margin 1/3": (lambda: threshold_curve(
         SCHED_122, [0.75, 0.8, 0.9, 0.95, 1.0], "four_fifteenths", ThresholdConditions(1 / 3)), (2, 159, 62)),
     "cost contour": (lambda: contour_expected_cost(
         SCHED_122, [20.0, 80.0, 400.0], [0.8, 0.9, 0.95, 0.99], CostModel(count_local_ops=True)), (4, 100, 57)),
-    "infidelity contour": (lambda: contour_infidelity([SCHED_3414], 1e-3, np.linspace(0.6, 1.0, 5)), (3, 110, 54)),
+    "infidelity contour": (lambda: contour_infidelity([SCHED_3414], 1e-3, np.linspace(0.6, 1.0, 5)), (3, 109, 53)),
 }
 
 
@@ -630,8 +635,8 @@ def smooth_values(draw):
     crossing c, or never below P_MAX: a line, a quadratic, an exponential,
     or the smaller of two lines, whose kink lies below c, often inside c's
     scan bracket.  The predictions get the line's path right, and often the
-    quadratic's first PATH_STEPS steps, which opens a threshold lane's gate
-    to a full-length path; the others' they get wrong at some step."""
+    quadratic's whole path, which a threshold lane's first pass pumps in
+    full; the others' they get wrong at some step."""
     c = 10.0 ** draw(st.floats(-6.5, -1.0))
     scale = 10.0 ** draw(st.floats(-3.0, 3.0))
     shape = draw(st.sampled_from(["line", "quadratic", "exponential", "kink"]))
@@ -745,8 +750,8 @@ def predicted_path(lo, hi, x, mean):
 
 
 def test_threshold_lanes_whose_inverse_is_quadratic_finish_in_one_bisection_pass():
-    # p is a quadratic in the value, so both interpolants meet the crossing
-    # c itself: the gate opens, and every lane's full-length path is right
+    # p is a quadratic in the value, so the interpolant meets the crossing c
+    # itself, and every lane's full-length path is right
     crossings = np.array([3e-6, 2e-4, 1.1e-3, 7e-3])
 
     def value(lanes, p):  # p = c - 2 v sqrt(s) - v**2, s = 0.06
@@ -759,21 +764,21 @@ def test_threshold_lanes_whose_inverse_is_quadratic_finish_in_one_bisection_pass
         assert t == reference_threshold(lambda p: math.sqrt(c + 0.06 - p) - math.sqrt(0.06) > 0)
 
 
-def test_a_lane_with_no_value_or_a_kink_above_its_bracket_keeps_path_steps():
-    # a line whose value is NaN from between scan rates k and k+1 on, and a
-    # line that turns 10 times steeper there: the scan value above the
-    # bracket gives no interpolant, or one that predicts other verdicts, so
-    # the gate stays shut and each first path holds PATH_STEPS midpoints
-    c, q = 3e-4, 0.5 * (THRESHOLD_SCAN[13] + THRESHOLD_SCAN[14])  # k = 13
+def test_a_contour_lane_keeps_path_steps_where_its_scan_reads_past_its_fail():
+    # the quadratic inverse of the test above as contour lanes: their scan
+    # runs in one pass and reads every rate, and the interpolant predicts
+    # each whole bisection right, yet every first path holds PATH_STEPS
+    # midpoints and the search bisects on in later passes
+    crossings = np.array([3e-5, 2e-4, 1.1e-3, 7e-3])
 
     def value(lanes, p):
-        return np.where(lanes == 0, np.where(p < q, c - p, math.nan),
-                        np.where(p < q, c - p, c - q - 10.0 * (p - q)))
+        return np.sqrt(crossings[lanes] + 0.06 - p) - math.sqrt(0.06)
 
-    (first, found, th), passes = recorded_crossings(value, 2, THRESHOLD_SCAN, GEOMETRIC, False)
-    assert np.searchsorted(THRESHOLD_SCAN, c) == 13
-    assert len(passes[1][1]) == 2 * threshold.PATH_STEPS and len(passes) == 3
-    assert th.tolist() == [reference_threshold(lambda p: c - p > 0)] * 2
+    (_, found, rates), passes = recorded_crossings(value, 4, CONTOUR_SCAN, ARITHMETIC, True)
+    assert len(passes[0][1]) == 4 * CONTOUR_SCAN.size
+    assert len(passes[1][1]) == 4 * threshold.PATH_STEPS and len(passes) > 2
+    assert found.all() and rates.tolist() == [
+        reference_crossing(lambda p: math.sqrt(c + 0.06 - p) - math.sqrt(0.06) > 0) for c in crossings]
 
 
 def test_the_first_prediction_falls_back_to_regula_falsi_then_the_midpoint():

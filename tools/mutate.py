@@ -53,9 +53,6 @@ EQUIVALENT = {
      "< -> <="):
         "the interpolant lands on a bracket end only where the value there is 0 or the crossing "
         "rounds onto it, and regula falsi then predicts that end too, so the predicted path is the same",
-    ("threshold.py", "agree &= (mids[-1] < x_above) == guess[-1]", "< -> <="):
-        "the gate reads a step otherwise only where the interpolant equals that midpoint exactly; "
-        "it then opens or shuts one lane's path, which is pumped and checked either way, so no point moves",
     ("resources.py", "passed = sum(int((rng.random((min(rows, alive - b), rounds)) < chain).all(axis=1).sum())",
      "< -> <="):
         "Generator.random draws from [0, 1) on a grid of 2**-53; the two differ only on a draw "
