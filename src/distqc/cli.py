@@ -32,15 +32,23 @@ def _fmt(x: float) -> str:
 MAX_GRID = 100_000
 
 
+def _number(kind, text: str, message: str):
+    """``kind(text)``, or ValueError with ``message``: Python's own names no option."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(message) from None
+
+
 def _parse_grid(text: str) -> list[float]:
     """Parse 'start:stop:count', inclusive on both ends."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"grid must be start:stop:count, got {text!r}")
-    start, stop = float(parts[0]), float(parts[1])
+    start, stop = (_number(float, x, f"grid start and stop must be numbers, got {text!r}") for x in parts[:2])
     if not (np.isfinite(start) and np.isfinite(stop)):
         raise ValueError(f"grid start and stop must be finite, got {text!r}")
-    count = int(parts[2])
+    count = _number(int, parts[2], f"grid count must be an integer, got {text!r}")
     if count < 1:
         raise ValueError(f"grid count must be at least 1, got {count}")
     if count > MAX_GRID:
@@ -54,7 +62,11 @@ def _parse_grid(text: str) -> list[float]:
 def _parse_pm(text: str):
     if text in ("equal", "four_fifteenths"):
         return text
-    return float(text)
+    try:
+        return float(text)
+    except ValueError:  # argparse names the option
+        raise argparse.ArgumentTypeError(
+            f"unknown p_M rule {text!r}; expected 'equal', 'four_fifteenths' or a number") from None
 
 
 class _Args(argparse.Namespace):
@@ -82,7 +94,8 @@ def _f_bar(args, noise: NoiseParams):
     """The purified vector: --fbar as given, or the output of pumping --F
     with --schedule."""
     if args.fbar:
-        return [float(x) for x in args.fbar.split(",")]
+        return [_number(float, x, f"--fbar must be comma-separated numbers, got {args.fbar!r}")
+                for x in args.fbar.split(",")]
     schedule = PumpSchedule.parse(args.schedule)
     return pump(ChannelParams(args.F), schedule, noise).f_out
 
@@ -214,7 +227,8 @@ def _cmd_resource(args) -> int:
             raise ValueError("--levels needs at least one level")
         if not args.grid:
             raise ValueError("--levels requires --grid")
-        levels = [float(x) for x in args.levels.split(",")]
+        levels = [_number(float, x, f"--levels must be comma-separated numbers, got {args.levels!r}")
+                  for x in args.levels.split(",")]
         grid = _parse_grid(args.grid)
         if len(levels) * len(grid) > MAX_GRID:
             raise ValueError(f"{len(levels)} levels x {len(grid)} grid points exceed "
@@ -256,6 +270,8 @@ def _cmd_resource(args) -> int:
 def _cmd_verify(args) -> int:
     """Run the oracle suites in order on one generator and report each; a
     suite passes iff its deviation lies strictly below its tolerance."""
+    if args.seed < 0:  # numpy's own refusal names no option
+        raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     verdicts = []
     for name, suite in oracles.SUITES:

@@ -137,7 +137,7 @@ class NoiseParams:
 def _refuse(ok, values, message: str) -> None:
     """Raise ValueError with ``message`` naming the first value where ``ok`` fails."""
     if not (ok.all() if isinstance(ok, np.ndarray) else ok):
-        raise ValueError(message.format(np.asarray(values)[~np.asarray(ok)].flat[0]))
+        raise ValueError(message.format(np.asarray(values)[~np.asarray(ok)].flat[0].item()))
 
 
 def depolarizing_noise(p_g, p_M) -> NoiseParams:

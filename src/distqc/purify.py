@@ -132,7 +132,10 @@ class PumpSchedule:
     @classmethod
     def parse(cls, text: str) -> "PumpSchedule":
         """Parse 'n1,n2' as a single schedule or 'n1,m1,m2' as a double one."""
-        counts = tuple(int(p) for p in text.split(","))
+        try:
+            counts = tuple(int(p) for p in text.split(","))
+        except ValueError:
+            raise ValueError(f"schedule counts must be integers: {text!r}") from None
         if len(counts) not in (2, 3):
             raise ValueError(f"schedule must have 2 or 3 comma-separated counts: {text!r}")
         return cls(counts)

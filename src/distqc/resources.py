@@ -125,6 +125,8 @@ def simulate_expected_cost(
         )
     chain = np.array(result.round_chain())
     cost = model.attempt_cost(result.program.tally)
+    if seed < 0:  # numpy's own refusal does not name the seed
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     # consecutive row blocks of Generator.random continue one stream, so the
     # estimate does not depend on the block size

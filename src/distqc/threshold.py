@@ -15,11 +15,12 @@ loci of a fixed pumped value, such as the infidelity.
 A landscape is evaluated as one search over lane arrays: every grid
 fidelity (of a contour: every level and fidelity) is a lane holding its own
 bracket, and each step pumps every distinct (rate, fidelity) pair of the live
-lanes once (:func:`pump_at`), LANE_BLOCK pairs per batch and one map build
-per distinct rate in a batch.  Both sweeps ask where a lane's verdict turns
-from pass to fail, the sign of a value: the smallest relative slack of the
-fault-tolerance bounds (:func:`ft_slack`), or a contour's level less its
-read.  :func:`_crossings` answers both: it scans a fixed rate grid, then
+lanes once at the p_g and p_M it is given (:func:`pump_at`; a threshold's p_M
+by its rule, a contour's p_M = p_g), LANE_BLOCK pairs per batch and one map
+build per distinct noise point in a batch.  Both sweeps ask where a lane's
+verdict turns from pass to fail, the sign of a value: the smallest relative
+slack of the fault-tolerance bounds (:func:`ft_slack`), or a contour's level
+less its read.  :func:`_crossings` answers both: it scans a fixed rate grid, then
 bisects every bracket together.  Each bisection pass predicts each lane's
 crossing, by inverse quadratic interpolation through the scan values on
 the first pass and by regula falsi on the values at its bracket ends
@@ -187,8 +188,8 @@ def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
 
 
 def p_M_of(p_M_rule, p_g):
-    """Measurement error under a p_M rule: "equal" (p_M = p_g),
-    "four_fifteenths" (p_M = 4 p_g / 15) or a fixed number in [0, 1), per rate."""
+    """Measurement error under a p_M rule: "equal" (p_M = p_g) and
+    "four_fifteenths" (p_M = 4 p_g / 15) per rate, a fixed number in [0, 1) as is."""
     if p_M_rule == "equal":
         return p_g
     if p_M_rule == "four_fifteenths":
@@ -200,43 +201,42 @@ def p_M_of(p_M_rule, p_g):
     p_M = float(p_M_rule)
     if not 0.0 <= p_M < 1.0:
         raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
-    return np.full(p_g.shape, p_M) if isinstance(p_g, np.ndarray) else p_M
+    return p_M
 
 
 #: most lanes pumped in one pass; larger batches are pumped block by block
 LANE_BLOCK = 1024
 
 
-def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, read, p_M_rule="equal") -> np.ndarray:
-    """Pump lane b from the fidelity row ``f_ini[k[b]]`` at the gate error
-    ``p_g[b]`` (p_M by its rule) and return ``read(lanes, p)`` of the pumped
-    :class:`Lanes` and their gate errors ``p``: one value per lane.  Each
-    distinct (rate, row) pair is pumped once, the pairs rate-major and
-    LANE_BLOCK at a time: one noise batch and map build per block."""
+def pump_at(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, p_M, read) -> np.ndarray:
+    """Pump lane b from the row ``f_ini[k[b]]`` at the gate error ``p_g[b]`` and
+    the measurement error ``p_M``, a number or one per lane, and return ``read(lanes,
+    p_g, p_M)`` of the pumped :class:`Lanes` and their errors: one value per lane.
+    Each distinct (rate, row) pair is pumped once, so its lanes share their p_M,
+    rate-major and LANE_BLOCK at a time: one noise batch and map build per block."""
     # a (rate, row) pair as a complex number: complex numbers sort by real
     # part, then imaginary, so the distinct pairs come rate-major
-    pair, same = np.unique(p_g + 1j * k, return_inverse=True)
-    rows, p = pair.imag.astype(int), pair.real
+    pair, first, same = np.unique(p_g + 1j * k, return_index=True, return_inverse=True)
+    rows, p, m = pair.imag.astype(int), pair.real, np.broadcast_to(p_M, np.shape(k))[first]
     reads = []
     for b in range(0, len(p), LANE_BLOCK):
-        block = p[b:b + LANE_BLOCK]
-        new = np.concatenate(([True], block[1:] != block[:-1]))  # the block's distinct rates, in order
-        points, index = block[new], np.cumsum(new) - 1
-        noise = depolarizing_noise(points, p_M_of(p_M_rule, points))
-        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), block))
+        block, block_m = p[b:b + LANE_BLOCK], m[b:b + LANE_BLOCK]  # a noise point starts where either moves
+        new = np.concatenate(([True], (block[1:] != block[:-1]) | (block_m[1:] != block_m[:-1])))
+        noise, index = depolarizing_noise(block[new], block_m[new]), np.cumsum(new) - 1
+        reads.append(read(pump_lanes(schedule, f_ini[rows[b:b + LANE_BLOCK]], noise, index), block, block_m))
     return np.concatenate(reads)[same]
 
 
 def _passes(schedule: PumpSchedule, f_ini: np.ndarray, k, p_g, p_M_rule, cond: ThresholdConditions):
     """Pipeline :func:`ft_slack` of every lane (see :func:`pump_at`), whose
-    sign is its verdict: pump, evaluate the error-class rates and check the
-    conditions.  A lane whose pumping underflows has a NaN f_out and slack,
-    so it fails."""
+    sign is its verdict: pump at the rule's p_M, worked out once per call, and
+    check the error-class rates at the p_g and p_M each lane was pumped at.  A
+    lane whose pumping underflows has a NaN f_out and slack, so it fails."""
 
-    def slack(lanes: Lanes, p):
-        return ft_slack(q_values(lanes.f_out, p, p_M_of(p_M_rule, p)), cond)
+    def slack(lanes: Lanes, p_g, p_M):
+        return ft_slack(q_values(lanes.f_out, p_g, p_M), cond)
 
-    return pump_at(schedule, f_ini, k, p_g, slack, p_M_rule)
+    return pump_at(schedule, f_ini, k, p_g, p_M_of(p_M_rule, p_g), slack)
 
 
 def pipeline_passes(
@@ -433,11 +433,11 @@ def contours(schedule: PumpSchedule, levels, F_grid, read) -> list[list[tuple[fl
     goal = np.repeat(levels, n)  # lane k: level k // n, fidelity k % n
 
     @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-    def guarded(lanes: Lanes, _):
+    def guarded(lanes: Lanes, *_):
         return read(lanes)
 
-    _, found, rates = _crossings(
-        lambda k, p: goal[k] - pump_at(schedule, f_ini, k % n, p, guarded),
+    _, found, rates = _crossings(  # a contour lane pumps at p_M = p_g = p
+        lambda k, p: goal[k] - pump_at(schedule, f_ini, k % n, p, p, guarded),
         goal.size, np.array([0.0] + [1e-5 * 2.0**k for k in range(13)]),
         lambda lo, hi: 0.5 * (lo + hi), lambda lo, hi: hi - lo > REL_TOL * hi, first_fail=True,
     )

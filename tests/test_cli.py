@@ -716,6 +716,40 @@ def test_malformed_grid_is_refused(capsys, command, grid, err):
     assert captured.err == err
 
 
+#: argv with one malformed option value, and the last line of its refusal
+MALFORMED = [
+    (["pump", "--schedule", "1.5,2"], "error: schedule counts must be integers: '1.5,2'"),
+    (["pump", "--schedule", "a,b"], "error: schedule counts must be integers: 'a,b'"),
+    (["pump", "--schedule", ""], "error: schedule counts must be integers: ''"),
+    (["infidelity-contour", "--schedule", "1,x", "--grid", "0.9:1:2"],
+     "error: schedule counts must be integers: '1,x'"),
+    (["threshold-curve", "--schedule", "1,2,2", "--grid", "0.9:1:x"],
+     "error: grid count must be an integer, got '0.9:1:x'"),
+    (["threshold-curve", "--schedule", "1,2,2", "--grid", "a:1:2"],
+     "error: grid start and stop must be numbers, got 'a:1:2'"),
+    (["resource", "--schedule", "1,2,2", "--levels", "30,x", "--grid", "0.9:1:2"],
+     "error: --levels must be comma-separated numbers, got '30,x'"),
+    (["ttg", "--kind", "II", "--fbar", "1,0,0,x"], "error: --fbar must be comma-separated numbers, got '1,0,0,x'"),
+    (["pump", "--schedule", "1,2,2", "--pM", "half"],
+     "distqc pump: error: argument --pM: unknown p_M rule 'half'; expected 'equal', 'four_fifteenths' or a number"),
+    (["verify", "--seed", "-1"], "error: seed must be a non-negative integer, got -1"),
+    (["resource", "--F", "0.9", "--schedule", "1,2,2", "--mc-trials", "5", "--seed", "-1"],
+     "error: seed must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, err", MALFORMED, ids=[" ".join(argv) for argv, _ in MALFORMED])
+def test_a_malformed_option_value_names_its_option(capsys, argv, err):
+    # Python's and numpy's own conversion errors name no option; each
+    # refusal is one line that names the option and quotes the value
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.splitlines()[-1] == err
+    assert not any(text in captured.err for text in
+                   ("_parse_pm", "invalid literal", "could not convert", "expected non-negative integer"))
+
+
 def test_schedule_beyond_the_round_cap_is_refused(capsys):
     start = time.perf_counter()
     code = main(["pump", "--F", "0.999", "--pg", "1e-6", "--schedule", "1,300000"])

@@ -465,35 +465,80 @@ def test_pump_at_pumps_each_distinct_pair_once_rate_major(monkeypatch):
     # lanes that repeat and permute (row, rate) pairs: each distinct pair is
     # pumped once, rate-major, in blocks of LANE_BLOCK pairs with one noise
     # batch holding the distinct rates of a block, and every lane reads its
-    # own pair
+    # own pair, and the read gets each pair's p_g and p_M
     f_ini = np.array([ChannelParams(F).f_ini for F in (0.8, 0.9, 0.95)])
     k = np.array([2, 0, 2, 1, 0, 2, 1])
     p = np.array([2e-3, 1e-3, 2e-3, 1e-3, 3e-3, 1e-3, 1e-3])
+    p_M = 4.0 * p / 15.0  # one per lane, the same for every lane of a pair
+    reads = []
 
-    def read(lanes, rates):
+    def read(lanes, rates, p_M):
+        reads.append((rates.tolist(), p_M.tolist()))
         return lanes.f_out[:, 1] / rates
 
     made, blocks = [], []  # holding every noise made keeps the ids apart
     noise, pump_lanes = threshold.depolarizing_noise, threshold.pump_lanes
 
     def recorded_noise(p_g, p_M):
-        made.append((noise(p_g, p_M), p_g.tolist()))
+        made.append((noise(p_g, p_M), p_g.tolist(), p_M.tolist()))
         return made[-1][0]
 
     def recorded(schedule, f, batch, index):
-        rates = {id(x): p_g for x, p_g in made}[id(batch)]
+        rates = {id(x): p_g for x, p_g, _ in made}[id(batch)]
         rows = [int(np.flatnonzero((f_ini == row).all(axis=1))[0]) for row in f]
         blocks.append(([(rates[i], row) for i, row in zip(index, rows)], len(rates)))
         return pump_lanes(schedule, f, batch, index)
 
     monkeypatch.setattr(threshold, "LANE_BLOCK", 3)
-    alone = [threshold.pump_at(SCHED_122, f_ini, k[[b]], p[[b]], read)[0] for b in range(len(k))]
+    alone = [threshold.pump_at(SCHED_122, f_ini, k[[b]], p[[b]], float(p_M[b]), read)[0] for b in range(len(k))]
     monkeypatch.setattr(threshold, "depolarizing_noise", recorded_noise)
     monkeypatch.setattr(threshold, "pump_lanes", recorded)
-    values = threshold.pump_at(SCHED_122, f_ini, k, p, read)
+    reads.clear()
+    values = threshold.pump_at(SCHED_122, f_ini, k, p, p_M, read)
     assert blocks == [([(1e-3, 0), (1e-3, 1), (1e-3, 2)], 1), ([(2e-3, 2), (3e-3, 0)], 2)]
-    assert [p_g for _, p_g in made] == [[1e-3], [2e-3, 3e-3]]  # one call per block
+    assert [p_g for _, p_g, _ in made] == [[1e-3], [2e-3, 3e-3]]  # one call per block
+    assert [m for _, _, m in made] == [[4.0 * x / 15.0 for x in rates] for _, rates, _ in made]
+    assert reads == [([1e-3] * 3, [4.0 * 1e-3 / 15.0] * 3), ([2e-3, 3e-3], [4.0 * 2e-3 / 15.0, 4.0 * 3e-3 / 15.0])]
     assert values.tobytes() == np.array(alone).tobytes()
+
+
+def test_pump_at_pumps_lanes_at_one_rate_and_their_own_p_m_apart(monkeypatch):
+    # lanes of different rows may share a rate but not their p_M: each
+    # (p_g, p_M) point of a block is its own noise point, so every lane
+    # is pumped, and read, at its own p_M
+    f_ini = np.array([ChannelParams(F).f_ini for F in (0.8, 0.9)])
+    k, p, p_M = np.array([0, 1]), np.array([1e-3, 1e-3]), np.array([0.0, 1e-2])
+
+    def read(lanes, rates, p_M):
+        return lanes.f_out[:, 0] + 0.0 * p_M
+
+    alone = [threshold.pump_at(SCHED_122, f_ini, k[[b]], p[[b]], p_M[b], read)[0] for b in range(2)]
+    points, noise = [], threshold.depolarizing_noise
+    monkeypatch.setattr(threshold, "depolarizing_noise", lambda p_g, p_M: points.append(p_M.tolist()) or noise(p_g, p_M))
+    assert threshold.pump_at(SCHED_122, f_ini, k, p, p_M, read).tobytes() == np.array(alone).tobytes()
+    assert points == [[0.0, 1e-2]]
+
+
+def test_a_threshold_sweep_works_out_p_m_once_per_pass(monkeypatch):
+    # the p_M rule runs once per _passes call and once up front, where
+    # threshold_curve checks it; pump_at and the verdict use what it gave
+    calls, passes = [], []
+    p_M_of, _passes = threshold.p_M_of, threshold._passes
+
+    def counted(rule, p_g):
+        calls.append(rule)
+        return p_M_of(rule, p_g)
+
+    def counted_passes(*args):
+        passes.append(len(args[3]))
+        return _passes(*args)
+
+    curve = threshold_curve(SCHED_122, [0.8, 0.9, 1.0], "four_fifteenths")
+    monkeypatch.setattr(threshold, "LANE_BLOCK", 7)  # several pump blocks per pass
+    monkeypatch.setattr(threshold, "p_M_of", counted)
+    monkeypatch.setattr(threshold, "_passes", counted_passes)
+    assert threshold_curve(SCHED_122, [0.8, 0.9, 1.0], "four_fifteenths") == curve
+    assert max(passes) > 7 and len(calls) == len(passes) + 1
 
 
 # pump_lanes calls, lanes and noise points of a few sweeps.  The predicted
@@ -610,8 +655,8 @@ def test_crossing_searches_equal_per_lane_references(block, values, levels):
     def passes(schedule, f_ini, k, p, p_M_rule, cond):
         return np.array([value_at(values[i], x) < 1.0 for i, x in zip(k, p)], dtype=bool)
 
-    def pumped(schedule, f_ini, k, p, read):
-        return np.array([value_at(values[i], x) for i, x in zip(k, p)])
+    def pumped(schedule, f_ini, k, p_g, p_M, read):
+        return np.array([value_at(values[i], x) for i, x in zip(k, p_g)])
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threshold, "LANE_BLOCK", block)
@@ -667,7 +712,7 @@ def test_crossing_searches_on_smooth_values_equal_per_lane_references(block, val
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(threshold, "LANE_BLOCK", block)
         mp.setattr(threshold, "_passes", lambda schedule, f_ini, k, p, p_M_rule, cond: at(k, p, 1.0))
-        mp.setattr(threshold, "pump_at", lambda schedule, f_ini, k, p, read: at(k, p, -1.0))
+        mp.setattr(threshold, "pump_at", lambda schedule, f_ini, k, p_g, p_M, read: at(k, p_g, -1.0))
         curve = threshold_curve(SCHED_122, F_grid)
         [contour] = threshold.contours(SCHED_122, [0.0], F_grid, None)
     for (_, th), v in zip(curve, values):
@@ -843,9 +888,10 @@ def test_a_contour_lane_leaves_the_scan_where_it_reads_its_level(monkeypatch):
     # the scan at that rate; one scan rate per pass
     rates = []
 
-    def pumped(schedule, f_ini, k, p, read):
-        rates.extend(p.tolist())
-        return np.where(p < 1e-5, 0.0, 1.0)
+    def pumped(schedule, f_ini, k, p_g, p_M, read):
+        assert p_M is p_g  # a contour pumps at p_M = p_g
+        rates.extend(p_g.tolist())
+        return np.where(p_g < 1e-5, 0.0, 1.0)
 
     monkeypatch.setattr(threshold, "LANE_BLOCK", 1)
     monkeypatch.setattr(threshold, "pump_at", pumped)
