@@ -94,6 +94,8 @@ def _f_bar(args, noise: NoiseParams):
     """The purified vector: --fbar as given, or the output of pumping --F
     with --schedule."""
     if args.fbar:
+        if args.fbar.count(",") != 3:
+            raise ValueError(f"--fbar must have 4 comma-separated entries, got {args.fbar!r}")
         return [_number(float, x, f"--fbar must be comma-separated numbers, got {args.fbar!r}")
                 for x in args.fbar.split(",")]
     schedule = PumpSchedule.parse(args.schedule)

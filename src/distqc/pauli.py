@@ -75,10 +75,8 @@ def as_fidelity_vector(values) -> np.ndarray:
     f = np.asarray(values, dtype=float)
     if f.shape != (4,):
         raise ValueError(f"fidelity vector must have 4 entries, got shape {f.shape}")
-    if not (np.all(f >= -ATOL) and np.all(f <= 1 + ATOL)):
-        raise ValueError(f"fidelity vector entries outside [0, 1]: {f}")
-    if not abs(f.sum() - 1.0) <= ATOL:
-        raise ValueError(f"fidelity vector must sum to 1, got {f.sum()!r}")
+    _refuse((f >= -ATOL) & (f <= 1 + ATOL), f, "fidelity vector entries outside [0, 1]: {}")
+    _refuse(abs(f.sum() - 1.0) <= ATOL, f.sum(), "fidelity vector must sum to 1, got {!r}")
     return f
 
 

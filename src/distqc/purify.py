@@ -47,12 +47,15 @@ own channel vector and round tensors; every array carries the lane axis
 last, contiguous in memory.  :func:`pump_lanes` pumps a batch of lanes in
 one pass and builds the round tensors once per distinct noise point;
 :func:`pump` is the one-lane call.  Each round is one einsum whose inner
-loop runs along the lanes; the rounds are summed ROUND_BLOCK at a time, and
-the rest of the bookkeeping (conditionals, stage probabilities) is done once
-per stage.  A lane's result is bitwise the result of pumping it alone.  NaN
-is the one failure signal: a stage whose success probability underflows to
-0 in a lane leaves NaN in that lane's output from there on, without touching
-the other lanes, and an attempt fails only at a stage it runs.
+loop runs along the lanes; the double-selection tensor D is kept as its 64
+distinct entries, gathered to the lanes once per pass and copied by whole
+rows into one buffer each round.  The rounds are summed ROUND_BLOCK at a
+time, and the rest of the bookkeeping (conditionals, stage probabilities) is
+done once per stage.  A lane's result is bitwise the result of pumping it
+alone.  NaN is the one failure signal: a stage whose success probability
+underflows to 0 in a lane leaves NaN in that lane's output from there on,
+without touching the other lanes, and an attempt fails only at a stage it
+runs.
 """
 
 from __future__ import annotations
@@ -138,6 +141,8 @@ class PumpSchedule:
             raise ValueError(f"schedule counts must be integers: {text!r}") from None
         if len(counts) not in (2, 3):
             raise ValueError(f"schedule must have 2 or 3 comma-separated counts: {text!r}")
+        if min(counts) < 0:
+            raise ValueError(f"schedule counts must be non-negative integers: {text!r}")
         return cls(counts)
 
 
@@ -229,7 +234,8 @@ def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> d
     """Round tensors of B noise points: the single-selection tensor "S", its
     Hadamard-twisted form "S_H" and, if ``double`` is set, the
     double-selection tensor "D", each with a trailing axis over the points
-    ``p_tables[B, 4, 4]``, ``p_M[B]``.
+    ``p_tables[B, 4, 4]``, ``p_M[B]``.  "D" is stored as its 64 distinct
+    entries, a (64, B) array: row ``_D_SUMS[e]`` is flat entry e of D.
 
     The point axis is last and contiguous, so that a round contracts all its
     lanes in one pass.  Every entry is bitwise the einsum that defines it for
@@ -238,7 +244,8 @@ def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> d
     :func:`_double_terms`) ``_D_BLOCK`` points at a time.
     """
     n = len(p_M)
-    w = p_tables[:, _UA, _VA] * p_tables[:, _UB, _VB]
+    pair = p_tables.reshape(n, 16)
+    w = pair[:, :, None] * pair[:, None, :]  # p[uA, vA] * p[uB, vB]
     # the 256 draws of each point summed in order onto their net labels
     leg = np.bincount((16 * np.arange(n)[:, None] + _LEG).ravel(), w.ravel(), 16 * n).reshape(n, 16)
     # Python's float power, point by point: numpy's power may round otherwise
@@ -260,7 +267,7 @@ def _build_maps(p_tables: np.ndarray, p_M: np.ndarray, double: bool = True) -> d
             table = (((x[:, None] * x)[:, :, None] * v)[:, :, :, None] * v).reshape(1024, -1)
             # a reduce over the outer axis adds the terms in order
             np.add.reduce(table.take(_D_TERMS, axis=0), axis=0, out=sums[:, s:s + _D_BLOCK])
-        maps["D"] = sums.take(_D_SUMS, axis=0).reshape(4, 4, 4, 4, n)
+        maps["D"] = sums
     return maps
 
 
@@ -273,7 +280,7 @@ def single_selection_tensor(noise: NoiseParams) -> np.ndarray:
 def double_selection_tensor(noise: NoiseParams) -> np.ndarray:
     """D[i, j, k, l]: unnormalised transition probabilities of one
     double-selection round for (kept, ancilla1, ancilla2) labels (i, j, k)."""
-    return _build_maps(noise.p_table[None], np.array([noise.p_M]))["D"][..., 0]
+    return _build_maps(noise.p_table[None], np.array([noise.p_M]))["D"][:, 0].take(_D_SUMS).reshape(4, 4, 4, 4)
 
 
 def _finalize(unnorm: np.ndarray, what: str) -> tuple[np.ndarray, float]:
@@ -433,17 +440,19 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
     einsum over contiguous lanes into a ring of (4, B) buffers, one per round
     of the longest stage up to ROUND_BLOCK; each pass round the ring is
     summed at once, and the round sums give the stage's conditionals and
-    probability."""
+    probability.  D's 64 distinct entries are gathered to the lanes once; each
+    D round copies them by rows into one (4, 4, 4, 4, B) buffer of products."""
     n = len(f_ini)
     f_ini = np.ascontiguousarray(f_ini.T)
     outputs = {}
     probs = []
     conditionals = []
     ring = np.empty((min(ROUND_BLOCK, max(stage.rounds for stage in program.stages)), 4, n))
-    product = np.empty((4, 4, 4, 4, n)) if "D" in maps else None
+    if "D" in maps:  # D's distinct sums per lane, and the buffer each round expands them into
+        distinct, product = maps["D"].take(index, axis=-1), np.empty((4, 4, 4, 4, n))
     for stage in program.stages:
         double = stage.tensor == "D"
-        tensor = maps["D"] if double else maps[stage.tensor].take(index, axis=-1)
+        tensor = distinct if double else maps[stage.tensor].take(index, axis=-1)
         ancillas = [
             f_ini if src is None else outputs[src].take(_H, axis=0) if rotated else outputs[src]
             for src, rotated in stage.ancillas
@@ -455,7 +464,7 @@ def _interpret(program: StageProgram, f_ini: np.ndarray, maps: dict[str, np.ndar
         for r in range(stage.rounds):
             k = r % len(ring)
             if double:  # the product einsum forms first, in one reused buffer
-                tensor.take(index, axis=-1, out=product, mode="wrap")
+                tensor.take(_D_SUMS, axis=0, out=product.reshape(256, n), mode="wrap")
                 f = np.einsum("ijkln,jn,kn->ln", np.multiply(product, f[:, None, None, None], out=product),
                               *ancillas, out=ring[k])
             else:

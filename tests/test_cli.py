@@ -730,6 +730,8 @@ MALFORMED = [
     (["resource", "--schedule", "1,2,2", "--levels", "30,x", "--grid", "0.9:1:2"],
      "error: --levels must be comma-separated numbers, got '30,x'"),
     (["ttg", "--kind", "II", "--fbar", "1,0,0,x"], "error: --fbar must be comma-separated numbers, got '1,0,0,x'"),
+    (["ttg", "--kind", "II", "--fbar", "1,0,0"], "error: --fbar must have 4 comma-separated entries, got '1,0,0'"),
+    (["pump", "--schedule", "1,-2"], "error: schedule counts must be non-negative integers: '1,-2'"),
     (["pump", "--schedule", "1,2,2", "--pM", "half"],
      "distqc pump: error: argument --pM: unknown p_M rule 'half'; expected 'equal', 'four_fifteenths' or a number"),
     (["verify", "--seed", "-1"], "error: seed must be a non-negative integer, got -1"),

@@ -220,6 +220,19 @@ def test_as_fidelity_vector_validation():
         as_fidelity_vector([1.0, np.nan, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("f, message", [
+    ([0.5, 0.5, 0.5, 0.5], "fidelity vector must sum to 1, got 2.0"),
+    ([1.5, -0.5, 0.0, 0.0], "fidelity vector entries outside [0, 1]: 1.5"),
+    ([0.5, -0.5, 1.0, 0.0], "fidelity vector entries outside [0, 1]: -0.5"),
+    ([1.0, np.nan, 0.0, 0.0], "fidelity vector entries outside [0, 1]: nan"),
+], ids=["sum", "above", "below", "nan"])
+def test_a_fidelity_vector_refusal_names_its_first_bad_value(f, message):
+    # as a plain number, not numpy's repr of a scalar or the whole vector
+    with pytest.raises(ValueError) as error:
+        as_fidelity_vector(f)
+    assert str(error.value) == message
+
+
 # ATOL = 1e-12 is the slack of every input bound: an input on a bound passes
 def test_inputs_on_their_bounds_pass():
     f = as_fidelity_vector([1 + 1e-12, -1e-12, 0.0, 0.0])  # on both entry bounds

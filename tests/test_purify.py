@@ -324,8 +324,11 @@ def test_returned_tensors_belong_to_the_caller():
 def test_pump_schedule_parsing():
     assert PumpSchedule.parse("3,4") == PumpSchedule.single(3, 4)
     assert PumpSchedule.parse("1,2,2") == PumpSchedule.double(1, 2, 2)
+    assert PumpSchedule.parse("0,0,1") == PumpSchedule.double(0, 0, 1)
     with pytest.raises(ValueError, match="2 or 3 comma-separated counts: '1'"):
         PumpSchedule.parse("1")
+    with pytest.raises(ValueError, match="^schedule counts must be non-negative integers: '1,-2'$"):
+        PumpSchedule.parse("1,-2")
     with pytest.raises(ValueError):
         PumpSchedule.single(-1, 2)
 
@@ -569,6 +572,9 @@ def noise_points(draw):
 def test_maps_are_bitwise_their_defining_einsums(points):
     p_tables, p_M = points
     maps = purify._build_maps(p_tables, p_M)
+    # D is stored as its 64 distinct term sums; _D_SUMS expands them
+    assert maps["D"].shape == (64, len(p_M))
+    maps["D"] = maps["D"].take(purify._D_SUMS, axis=0).reshape(4, 4, 4, 4, len(p_M))
     for name, expected in reference_maps(p_tables, p_M).items():
         assert maps[name].shape == expected.shape[1:] + (len(p_M),)
         assert np.array_equal(np.moveaxis(maps[name], -1, 0), expected)
@@ -597,16 +603,19 @@ def reference_stage(spec, tensor, f, ancillas, rounds=2):
 @settings(deadline=None, max_examples=30)
 @given(seed=st.integers(0, 2**32 - 1), points=st.integers(1, 9), lanes=st.sampled_from([1, 2, 203]))
 def test_round_kernels_are_bitwise_the_lane_first_einsums(seed, points, lanes):
-    # arbitrary tensors with zero entries, so the test holds for any values
+    # arbitrary tensors with zero entries, so the test holds for any values;
+    # D is given as 64 distinct sums per point
     rng = np.random.default_rng(seed)
     maps = {name: rng.random(shape + (points,)) * (rng.random(shape + (points,)) < 0.9)
-            for name, shape in (("S", (4,) * 3), ("S_H", (4,) * 3), ("D", (4,) * 4))}
+            for name, shape in (("S", (4,) * 3), ("S_H", (4,) * 3), ("D", (64,)))}
     f_ini = rng.dirichlet(np.ones(4), lanes)
     index = rng.integers(0, points, lanes)
     got = purify._interpret(KERNEL_PROGRAM, f_ini, maps, index)
-    # the lane-first tensors, D in its old layout (output axis outermost)
+    # the lane-first tensors, D expanded from its sums in its old layout
+    # (output axis outermost)
     S, S_H = (np.moveaxis(maps[name], -1, 0)[index] for name in ("S", "S_H"))
-    D = np.ascontiguousarray(np.moveaxis(maps["D"], (4, 3), (0, 1))).transpose(0, 2, 3, 4, 1)[index]
+    D = maps["D"].take(purify._D_SUMS, axis=0).reshape(4, 4, 4, 4, points)
+    D = np.ascontiguousarray(np.moveaxis(D, (4, 3), (0, 1))).transpose(0, 2, 3, 4, 1)[index]
     a, p_a = reference_stage("nijk,ni,nj->nk", S, f_ini, [f_ini])
     b, p_b = reference_stage("nijk,ni,nj->nk", S_H, f_ini, [f_ini])
     c, p_c = reference_stage("nijkl,ni,nj,nk->nl", D, a, [b, a[:, purify._H]])
@@ -628,6 +637,24 @@ def test_map_build_at_1024_points_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_double_pass_at_1024_lanes_and_points_stays_small():
+    # a pass keeps D as its 64 distinct sums per lane and expands them into
+    # one product buffer each round; gathering all 256 entries of each
+    # lane's D peaked at 7.7 MiB here
+    n, schedule = 1024, PumpSchedule.double(3, 4, 14)
+    p = np.linspace(1e-4, 0.04, n)
+    noise, f_ini = depolarizing_noise(p, p), np.tile(ChannelParams(0.9).f_ini, (n, 1))
+    pump_lanes(schedule, f_ini[:1], stacked(MILD), [0])  # compile the program first
+    tracemalloc.start()
+    try:
+        lanes = pump_lanes(schedule, f_ini, noise, np.arange(n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * 2**20
+    assert_same_result(lanes.result(n - 1), pump(ChannelParams(0.9), schedule, depolarizing_noise(p[-1], p[-1])))
 
 
 def test_only_double_schedules_build_d(monkeypatch):

@@ -63,7 +63,7 @@ EQUIVALENT = {
     ("purify.py", "flips = rng.random((n_samples, 4)) < noise.p_M", "< -> <="):
         "Generator.random draws from [0, 1) on a grid of 2**-53; the two differ only on a draw "
         "equal to p_M, an event of probability 2**-53 at most",
-    ("pauli.py", "if not abs(f.sum() - 1.0) <= ATOL:", "<= -> <"):
+    ("pauli.py", '_refuse(abs(f.sum() - 1.0) <= ATOL, f.sum(), "fidelity vector must sum to 1, got {!r}")', "<= -> <"):
         "a float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
     ("pauli.py", '_refuse(abs(sums - 1.0) <= ATOL, sums, "p_table must sum to 1, got {!r}")', "<= -> <"):
         "a point's float sum near 1 differs from 1 by a multiple of 2**-53, never by exactly ATOL = 1e-12",
