@@ -3,25 +3,21 @@
 Single-point results are emitted as flat JSON objects (inputs echoed, arrays
 in row-major order); curves are emitted as CSV with a header row and
 round-trip decimal formatting.  Identical configuration and seed produce
-byte-identical output.
+byte-identical output.  A handler imports the modules it needs beyond
+``pauli`` and ``purify``, so a call loads only what its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 import numpy as np
 
-from . import __version__, oracles
-from .pauli import ChannelParams, NoiseParams, depolarizing_noise, effective_pg
+from . import __version__
+from .pauli import ChannelParams, NoiseParams, depolarizing_noise, effective_pg, p_M_of
 from .purify import PumpSchedule, SuccessProbabilityError, pump
-from .telegate import GateKind, aggregates, gate_error_table, gate_error_table_from_circuit
-from .threshold import ThresholdConditions, check_ft, contour_infidelity, p_M_of, q_values, threshold_curve
-from .resources import (CostModel, T_PER_PI8_AT_THIRD_THRESHOLD, contour_expected_cost, expected_cost,
-                        shor_gate_count, simulate_expected_cost, total_overhead)
 
 
 def _fmt(x: float) -> str:
@@ -117,6 +113,8 @@ def _emit(text: str, args) -> None:
 
 
 def _json_out(payload: dict, args) -> None:
+    import json
+
     payload["version"] = __version__
     _emit(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n", args)
 
@@ -153,11 +151,13 @@ def _cmd_pump(args) -> int:
 
 
 def _cmd_ttg(args) -> int:
-    kind = GateKind(args.kind)
+    from . import oracles, telegate
+
+    kind = telegate.GateKind(args.kind)
     p_g, noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
-    table = gate_error_table(kind, f_bar, noise)
-    deviation = float(np.abs(table - gate_error_table_from_circuit(kind, f_bar, noise)).max())
+    table = telegate.gate_error_table(kind, f_bar, noise)
+    deviation = float(np.abs(table - telegate.gate_error_table_from_circuit(kind, f_bar, noise)).max())
     if not deviation < oracles.TOL:
         print(f"internal discrepancy: kind {kind.value}: circuit table deviates from the closed form "
               f"by {deviation:.3e}", file=sys.stderr)
@@ -171,7 +171,7 @@ def _cmd_ttg(args) -> int:
             "table": [float(x) for x in table.ravel()],
             "total_error": float(table.sum()),
             "circuit_table_max_dev": deviation,
-            "aggregates": dataclasses.asdict(aggregates(table)),
+            "aggregates": dataclasses.asdict(telegate.aggregates(table)),
         },
         args,
     )
@@ -179,10 +179,12 @@ def _cmd_ttg(args) -> int:
 
 
 def _cmd_qvalues(args) -> int:
+    from . import threshold
+
     p_g, noise = _noise_from_args(args)
     f_bar = _f_bar(args, noise)
-    q = q_values(f_bar, p_g, noise.p_M)
-    cond = ThresholdConditions(margin=args.margin)
+    q = threshold.q_values(f_bar, p_g, noise.p_M)
+    cond = threshold.ThresholdConditions(margin=args.margin)
     _json_out(
         {
             "f_bar": [float(x) for x in f_bar],
@@ -190,7 +192,7 @@ def _cmd_qvalues(args) -> int:
             "p_M": noise.p_M,
             **dataclasses.asdict(q),
             "margin": args.margin,
-            "fault_tolerant": check_ft(q, cond),
+            "fault_tolerant": threshold.check_ft(q, cond),
         },
         args,
     )
@@ -198,19 +200,23 @@ def _cmd_qvalues(args) -> int:
 
 
 def _cmd_threshold_curve(args) -> int:
+    from . import threshold
+
     schedule = PumpSchedule.parse(args.schedule)
     grid = _parse_grid(args.grid)
-    cond = ThresholdConditions(margin=args.margin)
-    curve = threshold_curve(schedule, grid, args.pM, cond)
+    cond = threshold.ThresholdConditions(margin=args.margin)
+    curve = threshold.threshold_curve(schedule, grid, args.pM, cond)
     config = f"threshold-curve schedule={args.schedule} grid={args.grid} pM={args.pM} margin={args.margin}"
     _csv_out(["F", "p_g"], curve, config, args)
     return 0
 
 
 def _cmd_infidelity_contour(args) -> int:
+    from . import threshold
+
     schedules = [PumpSchedule.parse(s) for s in args.schedule]
     grid = _parse_grid(args.grid)
-    curves = contour_infidelity(schedules, args.level, grid)
+    curves = threshold.contour_infidelity(schedules, args.level, grid)
     rows = []
     for schedule, pts in zip(schedules, curves):
         tag = ",".join(str(c) for c in schedule.counts)
@@ -222,8 +228,10 @@ def _cmd_infidelity_contour(args) -> int:
 
 
 def _cmd_resource(args) -> int:
+    from . import resources
+
     schedule = PumpSchedule.parse(args.schedule)
-    model = CostModel(count_local_ops=args.count_local_ops)
+    model = resources.CostModel(count_local_ops=args.count_local_ops)
     if args.levels is not None:
         if not args.levels.strip():
             raise ValueError("--levels needs at least one level")
@@ -235,7 +243,7 @@ def _cmd_resource(args) -> int:
         if len(levels) * len(grid) > MAX_GRID:
             raise ValueError(f"{len(levels)} levels x {len(grid)} grid points exceed "
                              f"MAX_GRID = {MAX_GRID} contour lanes")
-        curves = contour_expected_cost(schedule, levels, grid, model)
+        curves = resources.contour_expected_cost(schedule, levels, grid, model)
         rows = []
         for level, pts in zip(levels, curves):
             for F, p in pts:
@@ -244,7 +252,7 @@ def _cmd_resource(args) -> int:
         return 0
     p_g, noise = _noise_from_args(args)
     channel = ChannelParams(args.F)
-    K = expected_cost(schedule, channel, noise, model)
+    K = resources.expected_cost(schedule, channel, noise, model)
     payload = {
         "F": args.F,
         "p_g": p_g,
@@ -253,14 +261,15 @@ def _cmd_resource(args) -> int:
         "K": K,
     }
     if args.mc_trials:
-        payload["K_monte_carlo"] = simulate_expected_cost(
+        payload["K_monte_carlo"] = resources.simulate_expected_cost(
             schedule, channel, noise, model, trials=args.mc_trials, seed=args.seed
         )
         payload["mc_trials"] = args.mc_trials
         payload["seed"] = args.seed
     if args.n_bits:
-        shor = shor_gate_count(args.n_bits)
-        report = total_overhead(K, args.T_per_gate, shor.pi8)
+        shor = resources.shor_gate_count(args.n_bits)
+        T_per_gate = resources.T_PER_PI8_AT_THIRD_THRESHOLD if args.T_per_gate is None else args.T_per_gate
+        report = resources.total_overhead(K, T_per_gate, shor.pi8)
         payload.update(
             {"n_bits": args.n_bits, "toffoli": shor.toffoli, "Omega": shor.pi8,
              "T": report.T, "R": report.R}
@@ -272,6 +281,8 @@ def _cmd_resource(args) -> int:
 def _cmd_verify(args) -> int:
     """Run the oracle suites in order on one generator and report each; a
     suite passes iff its deviation lies strictly below its tolerance."""
+    from . import oracles
+
     if args.seed < 0:  # numpy's own refusal names no option
         raise ValueError(f"seed must be a non-negative integer, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -305,7 +316,7 @@ SUBCOMMANDS = {
         **_OUT, **_POINT, "--schedule": dict(required=True, help="n1,n2 (single) or n1,m1,m2 (double)"),
     }),
     "ttg": (_cmd_ttg, "teleported-gate output error table", {
-        **_OUT, **_POINT, "--kind": dict(required=True, choices=[k.value for k in GateKind]), **_FBAR,
+        **_OUT, **_POINT, "--kind": dict(required=True, choices=["I", "II", "III"]), **_FBAR,
     }),
     "qvalues": (_cmd_qvalues, "topological error-model rates and condition check", {
         **_OUT, **_POINT, **_FBAR, "--margin": dict(type=float, default=1.0),
@@ -326,7 +337,7 @@ SUBCOMMANDS = {
                                   help="count gates and measurements in addition to base pairs"),
         "--mc-trials": dict(type=int, default=0, help="cross-check K with this many Monte Carlo trials"),
         "--n-bits": dict(type=int, default=0, help="factoring size for overhead totals"),
-        "--T-per-gate": dict(type=float, default=T_PER_PI8_AT_THIRD_THRESHOLD),
+        "--T-per-gate": dict(type=float),  # default: resources.T_PER_PI8_AT_THIRD_THRESHOLD
         "--seed": dict(type=int, default=0, help="seed for the Monte Carlo cross-check"),
         "--levels": dict(default=None, help="emit K contours at these levels (CSV)"),
         "--grid": dict(default=None, help="F grid start:stop:count for contours"),

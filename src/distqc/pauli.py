@@ -152,6 +152,23 @@ def depolarizing_noise(p_g, p_M) -> NoiseParams:
     return NoiseParams(p_table=table, p_M=p_M)
 
 
+def p_M_of(p_M_rule, p_g):
+    """Measurement error under a p_M rule: "equal" (p_M = p_g) and
+    "four_fifteenths" (p_M = 4 p_g / 15) per rate, a fixed number in [0, 1) as is."""
+    if p_M_rule == "equal":
+        return p_g
+    if p_M_rule == "four_fifteenths":
+        return 4.0 * p_g / 15.0
+    if isinstance(p_M_rule, str):
+        raise ValueError(
+            f"unknown p_M rule {p_M_rule!r}; expected 'equal', 'four_fifteenths' or a number"
+        )
+    p_M = float(p_M_rule)
+    if not 0.0 <= p_M < 1.0:
+        raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
+    return p_M
+
+
 def effective_pg(p_g: float, eta: float, l_wait: int) -> float:
     """Fold memory error over l_wait waiting steps into the gate error rate."""
     if not (p_g >= 0 and eta >= 0 and l_wait >= 0):  # a NaN fails here

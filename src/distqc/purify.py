@@ -63,6 +63,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -143,11 +144,12 @@ class PumpSchedule:
             raise ValueError(f"schedule must have 2 or 3 comma-separated counts: {text!r}")
         if min(counts) < 0:
             raise ValueError(f"schedule counts must be non-negative integers: {text!r}")
+        if sum(counts) > MAX_ROUNDS:
+            raise ValueError(f"schedule {text!r} exceeds MAX_ROUNDS = {MAX_ROUNDS} rounds")
         return cls(counts)
 
 
-@dataclass(frozen=True)
-class OpsTally:
+class OpsTally(NamedTuple):
     """Operation counts for one full protocol attempt."""
 
     base_pairs: int
@@ -217,12 +219,16 @@ def _double_terms() -> tuple[np.ndarray, np.ndarray]:
     entry ((16 x + y) * 2 + z) * 2 + x' of a point's table of products
     ((leg[x] * leg[y]) * w[z]) * w[x'], w = (flip, keep) indexed by the
     check's verdict.  The 256 term lists hold 64 distinct ones: returns them
-    as columns, and the column of each flat entry of D."""
+    as columns, in order of first use, and the column of each flat entry of D."""
     b, d, c, i, j, k, l = np.ix_(*[np.arange(4)] * 7)
     leg = _T_LEG.astype(np.int16)
     terms = ((16 * leg[i, j, _H[l], b] + leg[k, b, d, c]) * 2 + Z_CHECK_ACCEPT[c]) * 2
-    distinct, index = np.unique((terms + X_CHECK_ACCEPT[d]).reshape(64, 256).T, axis=0, return_inverse=True)
-    return np.ascontiguousarray(distinct.T, np.intp), index
+    lists = (terms + X_CHECK_ACCEPT[d]).reshape(64, 256).T
+    column = {}  # a term list's bytes -> its column
+    index = np.array([column.setdefault(row.tobytes(), len(column)) for row in lists])
+    distinct = np.empty((len(column), 64), np.intp)
+    distinct[index] = lists  # each column once per entry that uses it, the same list each time
+    return np.ascontiguousarray(distinct.T), index
 
 
 _D_TERMS, _D_SUMS = _double_terms()
@@ -320,8 +326,7 @@ def double_selection(
 #: an ancilla taken from a fresh channel pair every round
 _FRESH = (None, False)
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """``rounds`` postselected rounds of one round tensor on one kept pair.
 
     ``tensor`` is "S", "S_H" (S with all three slots Hadamard-twisted, so the
@@ -340,8 +345,7 @@ class Stage:
     what: str
 
 
-@dataclass(frozen=True)
-class StageProgram:
+class StageProgram(NamedTuple):
     """A compiled schedule and everything derived from its stage graph.
 
     ``multiplicity[s]`` counts the instances of stage s one attempt runs and

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,16 +59,14 @@ class CostModel:
         return cost
 
 
-@dataclass(frozen=True)
-class OverheadReport:
+class OverheadReport(NamedTuple):
     K: float
     T: float
     Omega: float
     R: float
 
 
-@dataclass(frozen=True)
-class ShorCount:
+class ShorCount(NamedTuple):
     toffoli: float
     pi8: float
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise
+from .pauli import ChannelParams, NoiseParams, as_fidelity_vector, depolarizing_noise, p_M_of
 from .purify import Lanes, PumpSchedule, pump_lanes
 from .telegate import SYNDROME_GATE_KINDS, GateAggregates, aggregates, gate_error_table
 
@@ -185,23 +185,6 @@ def check_ft(q: QTuple, cond: ThresholdConditions) -> bool:
     """Whether the error rates of one point lie strictly below their
     (margined) bounds: :func:`ft_slack` > 0, as a plain bool."""
     return bool(ft_slack(q, cond) > 0)
-
-
-def p_M_of(p_M_rule, p_g):
-    """Measurement error under a p_M rule: "equal" (p_M = p_g) and
-    "four_fifteenths" (p_M = 4 p_g / 15) per rate, a fixed number in [0, 1) as is."""
-    if p_M_rule == "equal":
-        return p_g
-    if p_M_rule == "four_fifteenths":
-        return 4.0 * p_g / 15.0
-    if isinstance(p_M_rule, str):
-        raise ValueError(
-            f"unknown p_M rule {p_M_rule!r}; expected 'equal', 'four_fifteenths' or a number"
-        )
-    p_M = float(p_M_rule)
-    if not 0.0 <= p_M < 1.0:
-        raise ValueError(f"p_M must lie in [0, 1), got {p_M}")
-    return p_M
 
 
 #: most lanes pumped in one pass; larger batches are pumped block by block

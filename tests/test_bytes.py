@@ -56,6 +56,7 @@ def test_the_call_set_names_each_call_once():
     assert len(ids) == len(set(ids))
     assert sum(i.endswith("/op39") for i in ids) == 3 * len(bytes_tool.SEEDS)
     assert {"readme/0", "verify/seed5"} <= set(ids)
+    assert [i for i in ids if i.startswith("memory/")] == [f"memory/{i}" for i in range(5)]
 
 
 def test_a_call_records_its_code_and_output(tmp_path):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from test_readme import readme_commands
 
-from distqc import cli, oracles, telegate
+from distqc import cli, oracles, resources, telegate
 from distqc.cli import MAX_GRID, build_parser, main
 from distqc.oracles import SUITES
 from distqc.pauli import ChannelParams, depolarizing_noise, effective_pg
@@ -281,8 +281,8 @@ def test_ttg_maps_a_table_mismatch_to_exit_two(capsys, monkeypatch):
 def test_ttg_exits_two_from_a_deviation_of_tol_on(capsys, monkeypatch, deviation, code):
     table = np.zeros((4, 4))
     table[3, 1] = deviation
-    monkeypatch.setattr(cli, "gate_error_table", lambda *args: np.zeros((4, 4)))
-    monkeypatch.setattr(cli, "gate_error_table_from_circuit", lambda *args: table)
+    monkeypatch.setattr(telegate, "gate_error_table", lambda *args: np.zeros((4, 4)))
+    monkeypatch.setattr(telegate, "gate_error_table_from_circuit", lambda *args: table)
     assert main(["ttg", "--kind", "II", "--fbar", "1,0,0,0"]) == code
     capsys.readouterr()
 
@@ -732,6 +732,7 @@ MALFORMED = [
     (["ttg", "--kind", "II", "--fbar", "1,0,0,x"], "error: --fbar must be comma-separated numbers, got '1,0,0,x'"),
     (["ttg", "--kind", "II", "--fbar", "1,0,0"], "error: --fbar must have 4 comma-separated entries, got '1,0,0'"),
     (["pump", "--schedule", "1,-2"], "error: schedule counts must be non-negative integers: '1,-2'"),
+    (["pump", "--schedule", "1,300000"], "error: schedule '1,300000' exceeds MAX_ROUNDS = 10000 rounds"),
     (["pump", "--schedule", "1,2,2", "--pM", "half"],
      "distqc pump: error: argument --pM: unknown p_M rule 'half'; expected 'equal', 'four_fifteenths' or a number"),
     (["verify", "--seed", "-1"], "error: seed must be a non-negative integer, got -1"),
@@ -801,7 +802,7 @@ def test_cost_contour_lanes_beyond_the_grid_cap_are_refused(capsys, monkeypatch,
     # at the cap is built
     built = []
     monkeypatch.setattr(cli, "MAX_GRID", 4)
-    monkeypatch.setattr(cli, "contour_expected_cost",
+    monkeypatch.setattr(resources, "contour_expected_cost",
                         lambda schedule, levels, grid, model: built.append(len(levels) * len(grid)) or [])
     code = main(["resource", "--schedule", "1,2,2", "--levels", levels, "--grid", "0.9:0.95:2"])
     captured = capsys.readouterr()

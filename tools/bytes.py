@@ -8,6 +8,8 @@ directory.  The call set:
 - operations 0-39 of every benchmark workload at seeds 1-3
   (``perfbench/workloads.py``), and the ``point_queries`` defect probes;
 - every ``distqc`` command line of the README;
+- the memory-error path: ``--eta`` with ``--l-wait`` on each point
+  subcommand, and ``--eta`` alone, which is refused;
 - the demos, each tree its own, through ``runpy``;
 - ``verify --seed 0`` to ``--seed 5``.
 
@@ -43,6 +45,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SEEDS = (1, 2, 3)
 OPS = 40
 VERIFY_SEEDS = range(6)
+_MEMORY = ["--F", "0.9", "--pg", "1e-3", "--eta", "2e-4", "--l-wait", "3", "--schedule", "1,2,2"]
+MEMORY = [["pump", *_MEMORY], ["qvalues", *_MEMORY], ["ttg", "--kind", "II", *_MEMORY],
+          ["resource", *_MEMORY, "--n-bits", "1024"], ["pump", "--schedule", "1,2,2", "--eta", "2e-4"]]
 
 
 def call_set(root: Path = ROOT) -> list[dict]:
@@ -58,6 +63,7 @@ def call_set(root: Path = ROOT) -> list[dict]:
     text = (root / "README.md").read_text().replace("\\\n", " ")
     readme = [shlex.split(line)[1:] for line in text.splitlines() if line.startswith("distqc ")]
     calls += [{"id": f"readme/{i}", "argv": argv} for i, argv in enumerate(readme)]
+    calls += [{"id": f"memory/{i}", "argv": argv} for i, argv in enumerate(MEMORY)]
     calls += [{"id": f"demo/{path.stem}", "demo": path.name} for path in sorted((root / "demos").glob("*.py"))]
     calls += [{"id": f"verify/seed{s}", "argv": ["verify", "--seed", str(s)]} for s in VERIFY_SEEDS]
     return calls
